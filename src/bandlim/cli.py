@@ -22,9 +22,9 @@ from .odesolve import operator_from_json, solve
 from .quadrature import LineIntegralParams, gauss_legendre_rule
 from .specfun import legendre_all, spherical_j_all
 from .transform import (CALIBRATED, PAPER_C, PAPER_QUARTER, BesselSeries,
-                        TransformConfig, bauer_partial_sum,
+                        LegendreSeries, TransformConfig, bauer_partial_sum,
                         bessel_projection, calibrate_normalization, coeff_bar,
-                        forward_transform, inverse_transform,
+                        coeff_unbar, forward_transform, inverse_transform,
                         legendre_projection, orthogonality_matrix_j,
                         roundtrip, series_from_json, series_to_json)
 
@@ -146,15 +146,13 @@ def _load_legendre(path):
     return series
 
 
-def _load_bessel(path, config):
-    """A callable g on the line from a series document."""
+def _load_bessel(path):
+    """A Bessel series from a series document; a Legendre series maps
+    exactly by c_n = 2 i^n cbar_n."""
     series = series_from_json(_read_json(path))
-    if isinstance(series, BesselSeries):
-        return series
-    f = series
-    return lambda y: np.asarray(
-        [forward_transform(f, float(yi), config) for yi in np.atleast_1d(y)]
-    ).reshape(np.shape(y))
+    if isinstance(series, LegendreSeries):
+        series = coeff_unbar(series)
+    return series
 
 
 def _cmd_eval_jn(args):
@@ -197,7 +195,7 @@ def _cmd_forward(args):
 
 def _cmd_inverse(args):
     config = _build_config(args)
-    g = _load_bessel(getattr(args, "in"), config)
+    g = _load_bessel(getattr(args, "in"))
     rows = []
     for t in _t_grid(args):
         v = inverse_transform(g, float(t), config)
@@ -216,7 +214,7 @@ def _cmd_project_legendre(args):
 
 def _cmd_project_bessel(args):
     config = _build_config(args)
-    g = _load_bessel(getattr(args, "in"), config)
+    g = _load_bessel(getattr(args, "in"))
     series = bessel_projection(g, args.nmax, config)
     _write_json(args.out, series_to_json(series))
     return 0
@@ -273,7 +271,7 @@ def _cmd_calibrate(args):
 
 def _cmd_roundtrip(args):
     config = _build_config(args)
-    g = _load_bessel(getattr(args, "in"), config)
+    g = _load_bessel(getattr(args, "in"))
     rows = []
     for z in _z_grid(args):
         v = roundtrip(g, float(z), config)

@@ -63,13 +63,9 @@ def symbol_eval(op, t):
 
 def apply_operator(op, f, z, config):
     """(L g)(z) = int_-1^1 f(t) F(it) e^{izt} dt, differentiation done
-    under the integral sign; f is a LegendreSeries or callable on [-1,1]."""
-    symbol = op.symbol
-    if isinstance(f, LegendreSeries):
-        fn = lambda t: f(t) * symbol(t)
-    else:
-        fn = lambda t: np.asarray(f(t)) * symbol(t)
-    return forward_transform(fn, z, config)
+    under the integral sign; f is a LegendreSeries or vectorized callable
+    on [-1,1]."""
+    return forward_transform(lambda t: f(t) * op.symbol(t), z, config)
 
 
 @dataclass(frozen=True)

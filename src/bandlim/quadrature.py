@@ -17,6 +17,7 @@ The slow beat mode at frequency 1-|t| carries its information only at
 recover that mode from short-range samples.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,17 +126,15 @@ def gauss_legendre_rule(npoints):
 
 
 def _eval_integrand(fn, x):
-    """Evaluate fn on array x, vectorized when possible."""
-    try:
-        vals = np.asarray(fn(x))
-        if vals.shape != x.shape:
-            raise ValueError
-    except Exception:
-        vals = np.asarray([fn(float(xi)) for xi in x])
-    if not np.all(np.isfinite(vals)):
-        bad = x[~np.isfinite(vals.real) | ~np.isfinite(vals.imag)
-                if np.iscomplexobj(vals) else ~np.isfinite(vals)]
-        raise EvaluationError(f"integrand not finite at node(s) {bad[:3]}")
+    """fn(x) for the node array x; fn must be vectorized and finite there."""
+    vals = np.asarray(fn(x))
+    if vals.shape != x.shape:
+        raise EvaluationError(
+            f"integrand returned shape {vals.shape} for nodes of shape "
+            f"{x.shape}; it must map an array to an array of the same shape")
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise EvaluationError(f"integrand not finite at node(s) {x[bad][:3]}")
     return vals
 
 
@@ -164,20 +163,17 @@ class LineIntegralParams:
             raise InvalidRuleError("need max_segments >= acceleration_terms >= 4")
 
 
-_seg_rule_cache = {}
-
-
+@functools.cache
 def _seg_rule():
-    if "r" not in _seg_rule_cache:
-        _seg_rule_cache["r"] = gauss_legendre_rule(_SEG_GAUSS_POINTS)
-    return _seg_rule_cache["r"]
+    return gauss_legendre_rule(_SEG_GAUSS_POINTS)
 
 
 def _segment_integral(fn, a, b):
+    """int_a^b fn by the segment rule; fn evaluates its envelope through
+    _eval_integrand (see integrate_oscillatory_line)."""
     rule = _seg_rule()
     x = 0.5 * (b - a) * rule.nodes + 0.5 * (a + b)
-    vals = _eval_integrand(fn, x)
-    return 0.5 * (b - a) * complex(np.sum(rule.weights * vals))
+    return 0.5 * (b - a) * complex(np.sum(rule.weights * fn(x)))
 
 
 def _levin_limit(seq, prefix, k0=0.0, beta=1.0):
@@ -240,6 +236,9 @@ def _accelerate(partials, ratio, max_deflations, k0=0.0):
 def integrate_oscillatory_line(envelope, t, params=None):
     """int_-inf^inf envelope(y) e^{-iyt} dy for a 1/|y|-decay envelope.
 
+    envelope must be vectorized: an array of y in, an array of the same
+    shape out.
+
     Returns the accelerated limit once successive accelerated values agree
     to params.tol relatively; raises ConvergenceError (carrying the last
     two values) if max_segments is exhausted first.
@@ -250,7 +249,7 @@ def integrate_oscillatory_line(envelope, t, params=None):
     if not math.isfinite(t):
         raise EvaluationError("t must be finite")
     L = params.segment_length
-    fn = lambda y: np.asarray(envelope(y)) * np.exp(-1j * y * t)
+    fn = lambda y: _eval_integrand(envelope, y) * np.exp(-1j * y * t)
 
     # the beat mode at frequency |1 - |t|| needs samples out to ~1/(1-|t|)
     edge_dist = abs(1.0 - abs(t))

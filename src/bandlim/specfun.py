@@ -163,25 +163,6 @@ def spherical_j(n, z):
     return float(spherical_j_all(n, z)[n])
 
 
-def gamma_half(twice_x):
-    """Gamma(twice_x / 2) for positive integer twice_x.
-
-    Built by the recursion Gamma(x+1) = x Gamma(x) from Gamma(1) = 1 and
-    Gamma(1/2) = sqrt(pi); only integer and half-integer arguments occur.
-    """
-    twice_x = int(twice_x)
-    if twice_x <= 0:
-        raise DomainError("gamma_half: argument must be positive")
-    if twice_x % 2 == 0:
-        g, x = 1.0, 1.0
-    else:
-        g, x = math.sqrt(math.pi), 0.5
-    while 2 * x < twice_x:
-        g *= x
-        x += 1.0
-    return g
-
-
 def half_integer_bessel_via_poisson(n, z, rule):
     """J_{n+1/2}(z) by quadrature of the Poisson integral representation,
 
@@ -199,5 +180,5 @@ def half_integer_bessel_via_poisson(n, z, rule):
     theta = 0.5 * math.pi * (np.asarray(rule.nodes) + 1.0)
     w = 0.5 * math.pi * np.asarray(rule.weights)
     integral = float(np.sum(w * np.cos(z * np.cos(theta)) * np.sin(theta) ** (2.0 * nu)))
-    prefactor = (0.5 * z) ** nu / (gamma_half(2 * n + 2) * gamma_half(1))
+    prefactor = (0.5 * z) ** nu / (math.factorial(n) * math.sqrt(math.pi))
     return prefactor * integral

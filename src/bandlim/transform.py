@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidRuleError, RuleTooSmallError
-from .quadrature import (LineIntegralParams, QuadratureRule,
+from .quadrature import (LineIntegralParams, QuadratureRule, _eval_integrand,
                          gauss_legendre_rule, integrate_oscillatory_line)
 from .specfun import _check_order, _jn_table, legendre_all
 
@@ -123,56 +123,18 @@ class TransformConfig:
         return self._k_diag[n]
 
 
-def _series_values(f, nodes):
-    """Values of a LegendreSeries or plain callable at the rule nodes."""
-    if isinstance(f, LegendreSeries):
-        return np.asarray(f(nodes), dtype=complex)
-    vals = np.asarray(f(nodes))
-    if vals.shape != nodes.shape:
-        vals = np.asarray([f(float(x)) for x in nodes])
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("f not finite at quadrature nodes")
-    return vals.astype(complex)
-
-
 def forward_transform(f, z, config):
-    """g(z) = int_-1^1 f(t) e^{izt} dt by compact quadrature."""
+    """g(z) = int_-1^1 f(t) e^{izt} dt by compact quadrature.
+
+    f is a LegendreSeries or a vectorized callable on [-1, 1].  For a
+    LegendreSeries the exact result is coeff_unbar(f)(z).
+    """
     z = float(z)
     if not math.isfinite(z):
         raise DomainError("z must be finite")
     rule = config.compact_rule
-    vals = _series_values(f, rule.nodes)
+    vals = _eval_integrand(f, rule.nodes)
     return complex(np.sum(rule.weights * vals * np.exp(1j * z * rule.nodes)))
-
-
-def _forward_envelope(f, config):
-    """y -> forward_transform(f, y, config), vectorized over arrays of y.
-
-    An npoints rule reproduces e^{iyt} only up to |y| of order npoints, so
-    for large |y| the rule is enlarged to keep the quadrature inside its
-    exactness regime; otherwise the evaluated "band-limited" function stops
-    decaying and the line integral cannot converge.
-    """
-    base = len(config.compact_rule)
-    cache = {}
-
-    def weighted_values(npoints):
-        if npoints not in cache:
-            rule = (config.compact_rule if npoints == base
-                    else gauss_legendre_rule(npoints))
-            cache[npoints] = (rule.nodes, rule.weights * _series_values(f, rule.nodes))
-        return cache[npoints]
-
-    def env(y):
-        y = np.asarray(y, dtype=float)
-        ymax = float(np.max(np.abs(y))) if y.size else 0.0
-        need = int(0.55 * ymax) + 24
-        npoints = base if need <= base else ((need + 15) // 16) * 16
-        nodes, wv = weighted_values(npoints)
-        phase = np.exp(1j * np.multiply.outer(y, nodes))
-        return phase @ wv
-
-    return env
 
 
 def inverse_transform(g, t, config):
@@ -187,19 +149,20 @@ def inverse_transform(g, t, config):
 def calibrate_normalization(config, mode=0):
     """Measured divisor C* making the inverse undo the forward transform.
 
-    Sends P_mode through the forward transform, integrates the resulting
-    band-limited function over the line at t = 0, and divides by the value
-    P_mode(0) that the inverse must reproduce.  mode must be even so that
-    P_mode(0) is nonzero.  The mode-0 result is cached on the config.
+    The forward transform of P_mode is exactly 2 i^mode j_mode
+    (coeff_unbar), which is integrated over the line at t = 0 and divided
+    by the value P_mode(0) that the inverse must reproduce.  Only the line
+    integral is measured; the compact rule plays no part.  mode must be
+    even so that P_mode(0) is nonzero.  The mode-0 result is cached on the
+    config.
     """
     mode = _check_order(mode)
     if mode % 2:
         raise DomainError("calibration mode must be even (P_n(0) = 0 for odd n)")
     if mode == 0 and config._c_star is not None:
         return config._c_star
-    f = LegendreSeries(np.eye(mode + 1, dtype=complex)[mode])
-    env = _forward_envelope(f, config)
-    raw = integrate_oscillatory_line(env, 0.0, config.line_params)
+    g = coeff_unbar(LegendreSeries(np.eye(mode + 1)[mode]))
+    raw = integrate_oscillatory_line(g, 0.0, config.line_params)
     expected = float(legendre_all(mode, 0.0)[mode])
     c_star = (raw / expected).real
     if c_star <= 0:
@@ -210,12 +173,13 @@ def calibrate_normalization(config, mode=0):
 
 
 def legendre_projection(f, nmax, rule):
-    """Legendre coefficients cbar_n = (2n+1)/2 int_-1^1 f(t) P_n(t) dt."""
+    """Legendre coefficients cbar_n = (2n+1)/2 int_-1^1 f(t) P_n(t) dt of a
+    vectorized callable f."""
     nmax = _check_order(nmax)
     if len(rule) < nmax + 1:
         raise RuleTooSmallError(
             f"rule with {len(rule)} points cannot project to degree {nmax}")
-    vals = _series_values(f, rule.nodes)
+    vals = _eval_integrand(f, rule.nodes)
     p = legendre_all(nmax, rule.nodes)
     n = np.arange(nmax + 1)
     coeffs = (2 * n + 1) / 2.0 * (p @ (rule.weights * vals))
@@ -226,7 +190,6 @@ def _jn_product_envelope(n, m):
     nmax = max(n, m)
 
     def env(y):
-        y = np.asarray(y, dtype=float)
         table = _jn_table(nmax, y)
         return table[n] * table[m]
 
@@ -239,8 +202,7 @@ def bessel_projection(g, nmax, config):
     coeffs = np.empty(nmax + 1, dtype=complex)
     for n in range(nmax + 1):
         def env(y, n=n):
-            y = np.asarray(y, dtype=float)
-            return np.asarray(g(y)) * _jn_table(n, y)[n]
+            return g(y) * _jn_table(n, y)[n]
         raw = integrate_oscillatory_line(env, 0.0, config.line_params)
         coeffs[n] = raw / config.k_norm(n)
     return BesselSeries(coeffs)

@@ -117,6 +117,43 @@ class TestTransformCommands:
         assert doc["g"][0][1] == pytest.approx(math.pi / 2, abs=1e-9)
 
 
+class TestLegendreInput:
+    """inverse, roundtrip and project-bessel read a Legendre document as
+    its exact Bessel series c_n = 2 i^n cbar_n."""
+
+    @pytest.mark.parametrize("argv", [("inverse", "--t", "0.25"),
+                                      ("roundtrip", "--z", "1"),
+                                      ("project-bessel", "--nmax", "2")])
+    def test_matches_bessel_document(self, capsys, tmp_path, argv):
+        leg = write_series(tmp_path, "f.json", "legendre", [1.0])
+        bes = write_series(tmp_path, "g.json", "bessel", [2.0])
+        code, want, _ = run(capsys, *argv, "--in", bes, "--out", "-")
+        assert code == 0
+        code, got, _ = run(capsys, *argv, "--in", leg, "--out", "-")
+        assert code == 0
+        assert got == want
+
+    def test_complex_degree_two(self, capsys, tmp_path):
+        cbar = [0.5 - 0.25j, 1.5j, -0.75 + 1.0j]
+        c = [2.0 * 1j ** n * cb for n, cb in enumerate(cbar)]
+        leg = write_series(tmp_path, "f.json", "legendre", cbar)
+        bes = write_series(tmp_path, "g.json", "bessel", c)
+        argv = ("inverse", "--t-min", "-0.5", "--t-max", "0.5",
+                "--t-steps", "3", "--out", "-")
+        code, want, _ = run(capsys, *argv, "--in", bes)
+        assert code == 0
+        code, got, _ = run(capsys, *argv, "--in", leg)
+        assert code == 0
+        want_rows = [list(map(float, line.split(",")))
+                     for line in want.strip().split("\n")[1:]]
+        got_rows = [list(map(float, line.split(",")))
+                    for line in got.strip().split("\n")[1:]]
+        assert len(got_rows) == len(want_rows) == 3
+        for g_row, w_row in zip(got_rows, want_rows):
+            assert g_row[0] == w_row[0]
+            assert abs(complex(*g_row[1:]) - complex(*w_row[1:])) <= 1e-12
+
+
 class TestGates:
     def test_bauer_pass(self, capsys):
         code, out, _ = run(capsys, "bauer-check", "--z", "1", "--t", "1",

@@ -4,8 +4,32 @@ import numpy as np
 import pytest
 
 from bandlim import (ConvergenceError, EvaluationError, InvalidRuleError,
-                     LineIntegralParams, QuadratureRule, gauss_legendre_rule,
+                     LineIntegralParams, QuadratureRule, TransformConfig,
+                     forward_transform, gauss_legendre_rule,
                      integrate_compact, integrate_oscillatory_line)
+
+# callables that do not map an array to an array of the same shape
+NOT_VECTORIZED = {
+    "scalar": lambda x: 1.0,
+    "truncated": lambda x: x[:1],
+    "stacked": lambda x: np.stack([x, x]),
+}
+not_vectorized = pytest.mark.parametrize(
+    "fn", NOT_VECTORIZED.values(), ids=NOT_VECTORIZED.keys())
+
+
+def assert_refused_after_one_call(run, fn):
+    """run(f) raises EvaluationError after one call of f, on an array:
+    never a point-by-point retry."""
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return fn(x)
+
+    with pytest.raises(EvaluationError):
+        run(counted)
+    assert len(shapes) == 1 and shapes[0] != ()
 
 
 class TestGaussLegendre:
@@ -80,6 +104,19 @@ class TestIntegrateCompact:
         with pytest.raises(EvaluationError):
             integrate_compact(lambda t: np.where(t > 0, np.nan, 1.0), rule)
 
+    @not_vectorized
+    @pytest.mark.parametrize("run", [
+        lambda f: integrate_compact(f, gauss_legendre_rule(8)),
+        lambda f: forward_transform(f, 1.0, TransformConfig()),
+    ], ids=["integrate_compact", "forward_transform"])
+    def test_wrong_shape(self, run, fn):
+        assert_refused_after_one_call(run, fn)
+
+    def test_forward_transform_nonfinite(self):
+        with pytest.raises(EvaluationError):
+            forward_transform(lambda t: np.where(t > 0, np.nan, 1.0), 1.0,
+                              TransformConfig())
+
 
 class TestLineIntegralParams:
     def test_defaults_valid(self):
@@ -150,3 +187,8 @@ class TestOscillatoryLine:
     def test_nonfinite_t(self):
         with pytest.raises(EvaluationError):
             integrate_oscillatory_line(j0_env, math.nan)
+
+    @not_vectorized
+    def test_wrong_shape(self, fn):
+        assert_refused_after_one_call(
+            lambda f: integrate_oscillatory_line(f, 0.0), fn)

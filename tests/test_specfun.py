@@ -6,7 +6,6 @@ import pytest
 from bandlim import (DomainError, InvalidOrderError, gauss_legendre_rule,
                      half_integer_bessel_via_poisson, legendre_all,
                      legendre_p, spherical_j, spherical_j_all)
-from bandlim.specfun import gamma_half
 
 
 def jn_reference(n, z):
@@ -128,16 +127,6 @@ class TestSphericalJ:
 
 
 class TestPoisson:
-    def test_gamma_half(self):
-        assert gamma_half(1) == pytest.approx(math.sqrt(math.pi), abs=1e-16)
-        assert gamma_half(2) == 1.0
-        assert gamma_half(4) == 1.0
-        assert gamma_half(5) == pytest.approx(0.75 * math.sqrt(math.pi),
-                                              rel=1e-15)
-        assert gamma_half(8) == pytest.approx(6.0, rel=1e-15)
-        with pytest.raises(DomainError):
-            gamma_half(0)
-
     def test_j_half_closed_form(self):
         rule = gauss_legendre_rule(64)
         z = math.pi / 2
