@@ -12,7 +12,6 @@ non-convergence or a violated check tolerance, 3 I/O error.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -97,32 +96,27 @@ def _add_t_flags(p, default_steps=21):
     p.add_argument("--t-steps", type=int, default=default_steps)
 
 
-def _add_common(p):
+_CONFIG_FLAGS = {
+    "npoints": dict(type=int, help="compact Gauss-Legendre rule size"),
+    "normalization": dict(choices=[CALIBRATED, PAPER_QUARTER]),
+    "max-segments": dict(type=int, help="line-integral segment cap"),
+    "show-config": dict(action="store_true",
+                        help="print the effective configuration to stderr"),
+}
+
+
+def _add_common(p, *flags):
+    """--out and the named _CONFIG_FLAGS; a command accepts only the config
+    flags it reads, and every other config field keeps its default."""
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.add_argument("--npoints", type=int, default=32,
-                   help="compact Gauss-Legendre rule size")
-    p.add_argument("--normalization", choices=[CALIBRATED, PAPER_QUARTER],
-                   default=CALIBRATED)
-    p.add_argument("--max-segments", type=int, default=None,
-                   help="line-integral segment cap (also BANDLIM_MAX_SEGMENTS)")
-    p.add_argument("--show-config", action="store_true",
-                   help="print the effective configuration to stderr")
+    p.set_defaults(npoints=32, normalization=CALIBRATED,
+                   max_segments=LineIntegralParams.max_segments)
+    for flag in flags:
+        p.add_argument("--" + flag, **_CONFIG_FLAGS[flag])
 
 
 def _build_config(args):
-    max_segments = args.max_segments
-    if max_segments is None:
-        env = os.environ.get("BANDLIM_MAX_SEGMENTS")
-        if env is not None:
-            try:
-                max_segments = int(env)
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"BANDLIM_MAX_SEGMENTS must be an integer, got {env!r}")
-    if max_segments is not None:
-        params = LineIntegralParams(max_segments=max_segments)
-    else:
-        params = LineIntegralParams()
+    params = LineIntegralParams(max_segments=args.max_segments)
     config = TransformConfig(normalization=args.normalization,
                              line_params=params,
                              compact_rule=gauss_legendre_rule(args.npoints))
@@ -130,9 +124,6 @@ def _build_config(args):
         print(json.dumps({
             "normalization": config.normalization,
             "npoints": len(config.compact_rule),
-            "initial_halfwidth": params.initial_halfwidth,
-            "segment_length": params.segment_length,
-            "acceleration_terms": params.acceleration_terms,
             "tol": params.tol,
             "max_segments": params.max_segments,
         }, indent=2), file=sys.stderr)
@@ -157,20 +148,16 @@ def _load_bessel(path):
 
 def _cmd_eval_jn(args):
     zs = _z_grid(args)
-    rows = []
-    for z in zs:
-        j = spherical_j_all(args.n, float(z))[args.n]
-        rows.append([str(args.n), _f(z), _f(j), _f(0.0)])
+    js = spherical_j_all(args.n, zs)[args.n]
+    rows = [[str(args.n), _f(z), _f(j), _f(0.0)] for z, j in zip(zs, js)]
     _write_csv(args.out, ["n", "z", "re", "im"], rows)
     return 0
 
 
 def _cmd_eval_pn(args):
     ts = _t_grid(args)
-    rows = []
-    for t in ts:
-        p = legendre_all(args.n, float(t))[args.n]
-        rows.append([str(args.n), _f(t), _f(p), _f(0.0)])
+    ps = legendre_all(args.n, ts)[args.n]
+    rows = [[str(args.n), _f(t), _f(p), _f(0.0)] for t, p in zip(ts, ps)]
     _write_csv(args.out, ["n", "t", "re", "im"], rows)
     return 0
 
@@ -293,9 +280,8 @@ def _cmd_solve_ode(args):
         "residual": bundle.residual_report,
     }
     zs = _z_grid(args)
-    report["g"] = [[float(z)] + [complex(bundle.g_at(float(z))).real,
-                                 complex(bundle.g_at(float(z))).imag]
-                   for z in zs]
+    gs = [complex(bundle.g_at(float(z))) for z in zs]
+    report["g"] = [[float(z), g.real, g.imag] for z, g in zip(zs, gs)]
     _write_json(args.out, report)
     return 0
 
@@ -319,31 +305,31 @@ def build_parser():
     p.set_defaults(fn=_cmd_eval_pn)
 
     p = sub.add_parser("gauss-rule", help="Gauss-Legendre nodes and weights")
-    _add_common(p)
+    _add_common(p, "npoints")
     p.set_defaults(fn=_cmd_gauss_rule)
 
     p = sub.add_parser("forward", help="forward transform of a series on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_z_flags(p)
-    _add_common(p)
+    _add_common(p, "npoints", "show-config")
     p.set_defaults(fn=_cmd_forward)
 
     p = sub.add_parser("inverse", help="inverse transform on a t grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_t_flags(p)
-    _add_common(p)
+    _add_common(p, "normalization", "max-segments", "show-config")
     p.set_defaults(fn=_cmd_inverse)
 
     p = sub.add_parser("project-legendre", help="Legendre coefficients of a series")
     p.add_argument("--in", required=True, help="series JSON path")
     p.add_argument("--nmax", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "npoints", "show-config")
     p.set_defaults(fn=_cmd_project_legendre)
 
     p = sub.add_parser("project-bessel", help="spherical-Bessel coefficients")
     p.add_argument("--in", required=True, help="series JSON path")
     p.add_argument("--nmax", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "max-segments", "show-config")
     p.set_defaults(fn=_cmd_project_bessel)
 
     p = sub.add_parser("bauer-check", help="plane-wave expansion gate")
@@ -360,17 +346,18 @@ def build_parser():
                    help="off-diagonal ceiling")
     p.add_argument("--diag-rel-tol", type=float, default=1e-4,
                    help="relative spread ceiling for K_n (2n+1)")
-    _add_common(p)
+    _add_common(p, "max-segments", "show-config")
     p.set_defaults(fn=_cmd_ortho_check)
 
     p = sub.add_parser("calibrate", help="measure the inverse divisor C*")
-    _add_common(p)
+    _add_common(p, "max-segments", "show-config")
     p.set_defaults(fn=_cmd_calibrate)
 
     p = sub.add_parser("roundtrip", help="inverse-then-forward on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_z_flags(p)
-    _add_common(p)
+    _add_common(p, "npoints", "normalization", "max-segments",
+                "show-config")
     p.set_defaults(fn=_cmd_roundtrip)
 
     p = sub.add_parser("solve-ode", help="solve L g = h by symbol division")
@@ -379,7 +366,7 @@ def build_parser():
     p.add_argument("--nmax", type=int, default=16)
     p.add_argument("--residual-threshold", type=float, default=None)
     _add_z_flags(p, default_min=-10.0, default_max=10.0, default_steps=9)
-    _add_common(p)
+    _add_common(p, "npoints", "show-config")
     p.set_defaults(fn=_cmd_solve_ode)
 
     return parser

@@ -30,12 +30,15 @@ _NEWTON_MAXIT = 100
 _MAX_RULE_POINTS = 4096
 
 # tail-acceleration engine constants
+_SEGMENT = math.pi      # tail segment length: both Bessel-tail modes share a ratio
+_MIN_HALFWIDTH = 8.0    # core half-width floor, before rounding up to segments
 _EDGE_SCALE = 20.0      # core half-width ~ _EDGE_SCALE / (1 - |t|)
 _MIN_EDGE_DIST = 4e-4   # clamp for t essentially on the band edge
 _MAX_HALFWIDTH = 6e4
 _SEG_GAUSS_POINTS = 32
 _CORE_CHUNK_PERIODS = 4  # core chunk length in units of the segment length
 _UNC_FACTOR = 500.0  # accepted accelerator spread, in units of tol
+_MAX_DEFLATIONS = 12  # known-ratio deflations; also the first tail batch
 # Levin extrapolation acts on contiguous prefixes of the partial-sum
 # sequence.  The limit information sits in the early terms (where the
 # signal dominates roundoff), and the transform order must stay modest:
@@ -146,21 +149,16 @@ def integrate_compact(integrand, rule):
 
 @dataclass(frozen=True)
 class LineIntegralParams:
-    """Tuning knobs for the conditionally convergent line integrals."""
+    """Relative tolerance and tail-segment cap of the line integrals."""
 
-    initial_halfwidth: float = 8.0
-    segment_length: float = math.pi
-    acceleration_terms: int = 12
     tol: float = 1e-9
     max_segments: int = 400
 
     def __post_init__(self):
-        if self.initial_halfwidth <= 0 or self.segment_length <= 0:
-            raise InvalidRuleError("halfwidth and segment length must be positive")
         if self.tol <= 0:
             raise InvalidRuleError("tol must be positive")
-        if not (self.max_segments >= self.acceleration_terms >= 4):
-            raise InvalidRuleError("need max_segments >= acceleration_terms >= 4")
+        if self.max_segments < _MAX_DEFLATIONS:
+            raise InvalidRuleError(f"need max_segments >= {_MAX_DEFLATIONS}")
 
 
 @functools.cache
@@ -176,7 +174,7 @@ def _segment_integral(fn, a, b):
     return 0.5 * (b - a) * complex(np.sum(rule.weights * fn(x)))
 
 
-def _levin_limit(seq, prefix, k0=0.0, beta=1.0):
+def _levin_limit(seq, prefix, k0):
     """Levin u estimate of the limit of a partial-sum sequence.
 
     Uses the first `prefix` entries of seq; k0 is the index of the first
@@ -192,10 +190,10 @@ def _levin_limit(seq, prefix, k0=0.0, beta=1.0):
     S = seq[idx]
     terms = seq[idx] - seq[idx - 1]
     j = np.arange(n + 1)
-    w = (beta + k0 + idx) * terms
+    w = (1.0 + k0 + idx) * terms
     w = np.where(np.abs(w) < 1e-280, 1e-280, w)
     binom = np.array([math.comb(n, int(jj)) for jj in j], dtype=float)
-    coef = (-1.0) ** j * binom * ((beta + j) / (beta + n)) ** (n - 1)
+    coef = (-1.0) ** j * binom * ((1.0 + j) / (1.0 + n)) ** (n - 1)
     den = np.sum(coef / w)
     if den == 0 or not np.isfinite(den):
         return complex(seq[-1])
@@ -203,7 +201,7 @@ def _levin_limit(seq, prefix, k0=0.0, beta=1.0):
     return val if np.isfinite(val) else complex(seq[-1])
 
 
-def _accelerate(partials, ratio, max_deflations, k0=0.0):
+def _accelerate(partials, ratio, max_deflations, k0):
     """Best limit estimate for tail partial sums.
 
     Alternates known-ratio deflation (removes the oscillatory mode with the
@@ -227,7 +225,7 @@ def _accelerate(partials, ratio, max_deflations, k0=0.0):
                     best, best_unc = lv, spread
                 if p == s.size:
                     break
-        if ratio is None or s.size < 3 or abs(1.0 - ratio) < 1e-8:
+        if s.size < 3 or abs(1.0 - ratio) < 1e-8:
             break
         s = (s[1:] - ratio * s[:-1]) / (1.0 - ratio)
     return best, best_unc
@@ -248,12 +246,12 @@ def integrate_oscillatory_line(envelope, t, params=None):
     t = float(t)
     if not math.isfinite(t):
         raise EvaluationError("t must be finite")
-    L = params.segment_length
+    L = _SEGMENT
     fn = lambda y: _eval_integrand(envelope, y) * np.exp(-1j * y * t)
 
     # the beat mode at frequency |1 - |t|| needs samples out to ~1/(1-|t|)
     edge_dist = abs(1.0 - abs(t))
-    halfwidth = max(params.initial_halfwidth,
+    halfwidth = max(_MIN_HALFWIDTH,
                     _EDGE_SCALE / max(edge_dist, _MIN_EDGE_DIST))
     halfwidth = min(halfwidth, _MAX_HALFWIDTH)
     halfwidth = L * math.ceil(halfwidth / L)
@@ -263,16 +261,13 @@ def integrate_oscillatory_line(envelope, t, params=None):
     core = sum(_segment_integral(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
 
     # with L = pi both Bessel-tail modes share one per-segment ratio
-    if abs(L - math.pi) < 1e-12:
-        ratio_right = -np.exp(-1j * math.pi * t)
-        ratio_left = -np.exp(1j * math.pi * t)
-    else:
-        ratio_right = ratio_left = None
+    ratio_right = -np.exp(-1j * math.pi * t)
+    ratio_left = -np.exp(1j * math.pi * t)
 
     terms_r, terms_l = [], []
     nseg = 0
     history = []
-    batch = max(10, params.acceleration_terms)
+    batch = _MAX_DEFLATIONS
     while nseg < params.max_segments:
         target = min(nseg + batch, params.max_segments)
         while nseg < target:
@@ -283,9 +278,9 @@ def integrate_oscillatory_line(envelope, t, params=None):
         batch = 6
         k0 = halfwidth / L
         right, unc_r = _accelerate(np.cumsum(terms_r), ratio_right,
-                                   params.acceleration_terms, k0)
+                                   _MAX_DEFLATIONS, k0)
         left, unc_l = _accelerate(np.cumsum(terms_l), ratio_left,
-                                  params.acceleration_terms, k0)
+                                  _MAX_DEFLATIONS, k0)
         est = core + right + left
         scale = params.tol * max(1.0, abs(est))
         if (history and abs(est - history[-1]) <= scale

@@ -151,10 +151,12 @@ def _jn_table(nmax, z):
 
 
 def spherical_j_all(nmax, z):
-    """j_0(z) .. j_nmax(z) in one stable pass; z a finite real scalar."""
-    nmax = _check_order(nmax)
-    table = _jn_table(nmax, np.array([float(z)]))
-    return table[:, 0].copy()
+    """j_0(z) .. j_nmax(z) in one stable pass.
+
+    z may be a finite real scalar or an array; the result has shape
+    (nmax+1,) + shape(z).
+    """
+    return _jn_table(_check_order(nmax), z)
 
 
 def spherical_j(n, z):

@@ -143,11 +143,7 @@ def test_criterion_8_calibration_stability(config):
     mode_rel = abs(c2 - c0) / c0
     base = config.line_params
     doubled = TransformConfig(line_params=LineIntegralParams(
-        initial_halfwidth=base.initial_halfwidth,
-        segment_length=base.segment_length,
-        acceleration_terms=base.acceleration_terms,
-        tol=base.tol,
-        max_segments=2 * base.max_segments))
+        tol=base.tol, max_segments=2 * base.max_segments))
     cd = calibrate_normalization(doubled)
     seg_rel = abs(cd - c0) / c0
     ok = mode_rel < 1e-4 and seg_rel < 1e-6

@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from bandlim.cli import main
+import bandlim.odesolve
+from bandlim.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -215,16 +217,17 @@ class TestPlumbing:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_max_segments_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BANDLIM_MAX_SEGMENTS", "123")
-        code, _, err = run(capsys, "calibrate", "--show-config", "--out", "-")
+    def test_max_segments_flag(self, capsys):
+        code, _, err = run(capsys, "calibrate", "--max-segments", "123",
+                           "--show-config", "--out", "-")
         assert code == 0
-        assert '"max_segments": 123' in err
+        assert json.loads(err)["max_segments"] == 123
 
-    def test_max_segments_env_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("BANDLIM_MAX_SEGMENTS", "many")
-        code, _, _ = run(capsys, "calibrate", "--out", "-")
+    def test_max_segments_below_minimum(self, capsys):
+        code, _, err = run(capsys, "calibrate", "--max-segments", "5",
+                           "--out", "-")
         assert code == 1
+        assert "max_segments" in err
 
     def test_t_grid_clamped(self, capsys):
         code, out, _ = run(capsys, "eval-pn", "--n", "1", "--t-min", "-1",
@@ -233,3 +236,88 @@ class TestPlumbing:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert float(rows[0][1]) == -1.0 + 1e-9
         assert float(rows[-1][1]) == 1.0 - 1e-9
+
+
+# the config flags each command reads; --out is on every command
+CONFIG_FLAGS = ("--npoints", "--normalization", "--max-segments",
+                "--show-config")
+ACCEPTED = {
+    "eval-jn": (),
+    "eval-pn": (),
+    "gauss-rule": ("--npoints",),
+    "forward": ("--npoints", "--show-config"),
+    "inverse": ("--normalization", "--max-segments", "--show-config"),
+    "project-legendre": ("--npoints", "--show-config"),
+    "project-bessel": ("--max-segments", "--show-config"),
+    "bauer-check": (),
+    "ortho-check": ("--max-segments", "--show-config"),
+    "calibrate": ("--max-segments", "--show-config"),
+    "roundtrip": ("--npoints", "--normalization", "--max-segments",
+                  "--show-config"),
+    "solve-ode": ("--npoints", "--show-config"),
+}
+
+
+class TestConfigFlags:
+    def test_each_command_accepts_only_what_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(ACCEPTED)
+        slots = 0
+        for name, flags in ACCEPTED.items():
+            options = sub.choices[name]._option_string_actions
+            assert "--out" in options
+            assert {f for f in CONFIG_FLAGS if f in options} == set(flags)
+            slots += 1 + len(flags)
+        assert slots == 32
+
+    @pytest.mark.parametrize("argv", [
+        "eval-jn --n 1 --z 1 --npoints 8",
+        "bauer-check --z 1 --t 1 --max-segments 50",
+        "inverse --in {g} --t 0.25 --npoints 8",
+    ], ids=lambda argv: argv.split()[0])
+    def test_unread_flag_refused(self, capsys, tmp_path, argv):
+        g = write_series(tmp_path, "g.json", "bessel", [2.0])
+        code, out, _ = run(capsys, *argv.format(g=g).split(), "--out", "-")
+        assert code == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        "forward --in {g} --z 0",
+        "inverse --in {g} --t 0",
+        "project-legendre --in {g} --nmax 0",
+        "project-bessel --in {g} --nmax 0",
+        "ortho-check --nmax 0",
+        "calibrate",
+        "roundtrip --in {g} --z 0",
+        "solve-ode --op {op} --in {g} --z 0",
+    ], ids=lambda argv: argv.split()[0])
+    def test_show_config_keys(self, capsys, tmp_path, argv):
+        g = write_series(tmp_path, "g.json", "bessel", [2.0])
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"op": [[1.0, 0.0]]}))
+        code, _, err = run(capsys, *argv.format(g=g, op=op).split(),
+                           "--show-config", "--out", "-")
+        assert code == 0
+        assert json.loads(err) == {"normalization": "calibrated",
+                                   "npoints": 32, "tol": 1e-9,
+                                   "max_segments": 400}
+
+
+def test_solve_ode_evaluates_g_once_per_point(capsys, tmp_path, monkeypatch):
+    calls = []
+    forward = bandlim.odesolve.forward_transform
+
+    def counting(*args):
+        calls.append(args[1])
+        return forward(*args)
+    monkeypatch.setattr(bandlim.odesolve, "forward_transform", counting)
+    h = write_series(tmp_path, "h.json", "bessel", [2.0])
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"op": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}))
+    code, out, _ = run(capsys, "solve-ode", "--op", str(op), "--in", h,
+                       "--z-min", "-2", "--z-max", "2", "--z-steps", "5",
+                       "--out", "-")
+    assert code == 0
+    assert len(json.loads(out)["g"]) == 5
+    assert len(calls) == len(bandlim.odesolve._CHECK_GRID) + 5

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,20 +120,23 @@ class TestIntegrateCompact:
 
 
 class TestLineIntegralParams:
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(LineIntegralParams)]
+        assert names == ["tol", "max_segments"]
+
     def test_defaults_valid(self):
         p = LineIntegralParams()
         assert p.tol > 0
-        assert p.max_segments >= p.acceleration_terms >= 4
+        assert p.max_segments >= 12
+        assert LineIntegralParams(max_segments=12).max_segments == 12
 
     def test_invalid(self):
         with pytest.raises(InvalidRuleError):
             LineIntegralParams(tol=0.0)
         with pytest.raises(InvalidRuleError):
-            LineIntegralParams(initial_halfwidth=-1.0)
+            LineIntegralParams(max_segments=5)
         with pytest.raises(InvalidRuleError):
-            LineIntegralParams(acceleration_terms=2)
-        with pytest.raises(InvalidRuleError):
-            LineIntegralParams(max_segments=5, acceleration_terms=10)
+            LineIntegralParams(max_segments=11)
 
 
 def j0_env(y):
@@ -176,8 +180,7 @@ class TestOscillatoryLine:
             assert abs(b - np.conj(a)) < 1e-8
 
     def test_nonconvergence_carries_last_values(self):
-        params = LineIntegralParams(tol=1e-16, max_segments=24,
-                                    acceleration_terms=8)
+        params = LineIntegralParams(tol=1e-16, max_segments=24)
         with pytest.raises(ConvergenceError) as info:
             integrate_oscillatory_line(j0_env, 0.97, params)
         assert info.value.last_values

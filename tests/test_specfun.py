@@ -113,6 +113,19 @@ class TestSphericalJ:
                 assert abs(spherical_j(n, -z)
                            - (-1.0) ** n * spherical_j(n, z)) < 1e-14
 
+    def test_array_matches_points(self):
+        # series (|z| < 0.5), Miller (0.5 <= |z| < nmax + 2) and upward
+        # recurrence (|z| >= nmax + 2) points in one call, both signs
+        zs = np.array([-0.3, 0.0, 0.2, 0.49, 0.5, 1.0, -5.0, 15.0, 21.9,
+                       -22.0, 30.0, 45.5])
+        table = spherical_j_all(20, zs)
+        assert table.shape == (21, zs.size)
+        for k, z in enumerate(zs):
+            np.testing.assert_array_equal(table[:, k],
+                                          spherical_j_all(20, float(z)))
+        grid = spherical_j_all(20, zs.reshape(3, 4))
+        np.testing.assert_array_equal(grid, table.reshape(21, 3, 4))
+
     def test_recurrence_residual(self):
         for z in [0.7, 2.0, 5.0, 11.0, 23.0]:
             j = spherical_j_all(20, z)
