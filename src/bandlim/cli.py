@@ -172,10 +172,9 @@ def _cmd_gauss_rule(args):
 def _cmd_forward(args):
     config = _build_config(args)
     f = _load_legendre(getattr(args, "in"))
-    rows = []
-    for z in _z_grid(args):
-        g = forward_transform(f, float(z), config)
-        rows.append([_f(z), _f(g.real), _f(g.imag)])
+    zs = _z_grid(args)
+    gs = forward_transform(f, zs, config)
+    rows = [[_f(z), _f(g.real), _f(g.imag)] for z, g in zip(zs, gs)]
     _write_csv(args.out, ["z", "re", "im"], rows)
     return 0
 
@@ -183,10 +182,9 @@ def _cmd_forward(args):
 def _cmd_inverse(args):
     config = _build_config(args)
     g = _load_bessel(getattr(args, "in"))
-    rows = []
-    for t in _t_grid(args):
-        v = inverse_transform(g, float(t), config)
-        rows.append([_f(t), _f(v.real), _f(v.imag)])
+    ts = _t_grid(args)
+    vs = inverse_transform(g, ts, config)
+    rows = [[_f(t), _f(v.real), _f(v.imag)] for t, v in zip(ts, vs)]
     _write_csv(args.out, ["t", "re", "im"], rows)
     return 0
 
@@ -259,10 +257,9 @@ def _cmd_calibrate(args):
 def _cmd_roundtrip(args):
     config = _build_config(args)
     g = _load_bessel(getattr(args, "in"))
-    rows = []
-    for z in _z_grid(args):
-        v = roundtrip(g, float(z), config)
-        rows.append([_f(z), _f(v.real), _f(v.imag)])
+    zs = _z_grid(args)
+    vs = roundtrip(g, zs, config)
+    rows = [[_f(z), _f(v.real), _f(v.imag)] for z, v in zip(zs, vs)]
     _write_csv(args.out, ["z", "re", "im"], rows)
     return 0
 
@@ -280,8 +277,8 @@ def _cmd_solve_ode(args):
         "residual": bundle.residual_report,
     }
     zs = _z_grid(args)
-    gs = [complex(bundle.g_at(float(z))) for z in zs]
-    report["g"] = [[float(z), g.real, g.imag] for z, g in zip(zs, gs)]
+    gs = bundle.g_at(zs)
+    report["g"] = [[float(z), float(g.real), float(g.imag)] for z, g in zip(zs, gs)]
     _write_json(args.out, report)
     return 0
 

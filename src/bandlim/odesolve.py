@@ -64,7 +64,7 @@ def symbol_eval(op, t):
 def apply_operator(op, f, z, config):
     """(L g)(z) = int_-1^1 f(t) F(it) e^{izt} dt, differentiation done
     under the integral sign; f is a LegendreSeries or vectorized callable
-    on [-1,1]."""
+    on [-1,1], and z a scalar or an array (the result has its shape)."""
     return forward_transform(lambda t: f(t) * op.symbol(t), z, config)
 
 
@@ -78,7 +78,7 @@ class SolutionBundle:
     """
 
     f_series: LegendreSeries
-    g_at: Callable[[float], complex]
+    g_at: Callable[[np.ndarray], np.ndarray]
     residual_report: float
 
 
@@ -124,8 +124,8 @@ def solve(op, h, nmax, config, residual_threshold=None):
     def g_at(z):
         return forward_transform(ratio, z, config)
 
-    residual = max(abs(apply_operator(op, ratio, z, config) - complex(h(z)))
-                   for z in _CHECK_GRID)
+    lg = apply_operator(op, ratio, _CHECK_GRID, config)
+    residual = float(np.max(np.abs(lg - h(_CHECK_GRID))))
     if residual_threshold is not None and residual > residual_threshold:
         raise ConvergenceError(
             f"solve residual {residual:.3e} exceeds threshold {residual_threshold:.3e}",

@@ -174,6 +174,16 @@ def _segment_integral(fn, a, b):
     return 0.5 * (b - a) * complex(np.sum(rule.weights * fn(x)))
 
 
+@functools.cache
+def _levin_weights(n):
+    """(-1)^j C(n, j) ((1+j)/(1+n))^(n-1) for j = 0..n, read-only."""
+    j = np.arange(n + 1)
+    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    coef = (-1.0) ** j * binom * ((1.0 + j) / (1.0 + n)) ** (n - 1)
+    coef.flags.writeable = False
+    return coef
+
+
 def _levin_limit(seq, prefix, k0):
     """Levin u estimate of the limit of a partial-sum sequence.
 
@@ -189,11 +199,9 @@ def _levin_limit(seq, prefix, k0):
     idx = np.arange(1, seq.size)
     S = seq[idx]
     terms = seq[idx] - seq[idx - 1]
-    j = np.arange(n + 1)
     w = (1.0 + k0 + idx) * terms
     w = np.where(np.abs(w) < 1e-280, 1e-280, w)
-    binom = np.array([math.comb(n, int(jj)) for jj in j], dtype=float)
-    coef = (-1.0) ** j * binom * ((1.0 + j) / (1.0 + n)) ** (n - 1)
+    coef = _levin_weights(n)
     den = np.sum(coef / w)
     if den == 0 or not np.isfinite(den):
         return complex(seq[-1])

@@ -13,7 +13,6 @@ Coefficient dictionaries: a Bessel series g = sum c_n j_n corresponds to
 the Legendre series f = sum cbar_n P_n with cbar_n = c_n / (2 i^n).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,26 +123,33 @@ class TransformConfig:
 
 
 def forward_transform(f, z, config):
-    """g(z) = int_-1^1 f(t) e^{izt} dt by compact quadrature.
+    """g(z) = int_-1^1 f(t) e^{izt} dt by compact quadrature, for a scalar
+    or an array z (the result has its shape).
 
-    f is a LegendreSeries or a vectorized callable on [-1, 1].  For a
-    LegendreSeries the exact result is coeff_unbar(f)(z).
+    f is a LegendreSeries or a vectorized callable on [-1, 1], evaluated
+    once at the rule's nodes.  For a LegendreSeries the exact result is
+    coeff_unbar(f)(z).
     """
-    z = float(z)
-    if not math.isfinite(z):
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
         raise DomainError("z must be finite")
     rule = config.compact_rule
     vals = _eval_integrand(f, rule.nodes)
-    return complex(np.sum(rule.weights * vals * np.exp(1j * z * rule.nodes)))
+    return np.sum(rule.weights * vals * np.exp(1j * z[..., None] * rule.nodes),
+                  axis=-1)
 
 
 def inverse_transform(g, t, config):
-    """f(t) = (1/C) int_-inf^inf g(y) e^{-iyt} dy, for |t| < 1 strictly."""
-    t = float(t)
-    if abs(t) >= 1.0:
-        raise DomainError(f"inverse_transform: |t| = {abs(t)} not inside (-1, 1)")
-    raw = integrate_oscillatory_line(g, t, config.line_params)
-    return raw / config.divisor()
+    """f(t) = (1/C) int_-inf^inf g(y) e^{-iyt} dy for a scalar or an array t
+    (the result has its shape); every |t| < 1 strictly, which is checked
+    before any line integral runs."""
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) >= 1.0):
+        raise DomainError(
+            f"inverse_transform: |t| = {np.max(np.abs(t))} not inside (-1, 1)")
+    values = [integrate_oscillatory_line(g, s, config.line_params) / config.divisor()
+              for s in t.flat]
+    return np.array(values, dtype=complex).reshape(t.shape)[()]  # 0-d: a scalar
 
 
 def calibrate_normalization(config, mode=0):
@@ -223,11 +229,9 @@ def bauer_partial_sum(z, t, order):
 
 
 def roundtrip(g, z, config):
-    """Inverse then forward: evaluates f = inverse_transform(g, .) at the
-    compact rule's nodes and forward-transforms the node values to z."""
-    rule = config.compact_rule
-    f_vals = np.array([inverse_transform(g, float(t), config) for t in rule.nodes])
-    return complex(np.sum(rule.weights * f_vals * np.exp(1j * float(z) * rule.nodes)))
+    """Inverse then forward: f = inverse_transform(g, .) is evaluated once,
+    at the compact rule's nodes, and forward-transformed to every z."""
+    return forward_transform(lambda t: inverse_transform(g, t, config), z, config)
 
 
 def orthogonality_matrix_j(nmax, params=None):

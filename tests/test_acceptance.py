@@ -114,18 +114,16 @@ def test_criterion_7_roundtrip(config):
         length = int(rng.integers(1, 9))
         coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         series.append(BesselSeries(coeffs))
+    zs = np.array([0.0, 2.0, 7.0])
     for g in series:
-        for z in [0.0, 2.0, 7.0]:
-            got = roundtrip(g, z, config)
+        for z, got in zip(zs, roundtrip(g, zs, config)):
             want = complex(g(z))
             worst = max(worst, abs(got - want) / max(abs(want), 1e-12))
     c_star = calibrate_normalization(config)
     cfg_paper = TransformConfig(normalization=PAPER_QUARTER)
     worst_scale = 0.0
     g = series[0]
-    for z in [0.0, 2.0, 7.0]:
-        cal = roundtrip(g, z, config)
-        pap = roundtrip(g, z, cfg_paper)
+    for cal, pap in zip(roundtrip(g, zs, config), roundtrip(g, zs, cfg_paper)):
         want = cal * c_star / 4.0
         worst_scale = max(worst_scale,
                           abs(pap - want) / max(abs(want), 1e-12))

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
 import bandlim.odesolve
@@ -320,4 +321,19 @@ def test_solve_ode_evaluates_g_once_per_point(capsys, tmp_path, monkeypatch):
                        "--out", "-")
     assert code == 0
     assert len(json.loads(out)["g"]) == 5
-    assert len(calls) == len(bandlim.odesolve._CHECK_GRID) + 5
+    assert sum(np.size(z) for z in calls) == len(bandlim.odesolve._CHECK_GRID) + 5
+
+
+def test_roundtrip_grid_matches_single_points(capsys, tmp_path):
+    g = write_series(tmp_path, "g.json", "bessel", [2.0])
+    code, out, _ = run(capsys, "roundtrip", "--in", g, "--z-min", "0",
+                       "--z-max", "2", "--z-steps", "3", "--out", "-")
+    assert code == 0
+    header, *rows = out.splitlines()
+    singles = []
+    for z in ("0", "1", "2"):
+        code, out, _ = run(capsys, "roundtrip", "--in", g, "--z", z, "--out", "-")
+        assert code == 0
+        assert out.splitlines()[0] == header
+        singles += out.splitlines()[1:]
+    assert rows == singles

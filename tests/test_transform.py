@@ -3,18 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from bandlim import (PAPER_QUARTER, BesselSeries, DomainError,
-                     LegendreSeries, LineIntegralParams, RuleTooSmallError,
-                     TransformConfig, bauer_partial_sum, bessel_projection,
+import bandlim.transform
+from bandlim import (PAPER_QUARTER, BesselSeries, DifferentialOperator,
+                     DomainError, LegendreSeries, LineIntegralParams,
+                     RuleTooSmallError, TransformConfig, apply_operator,
+                     bauer_partial_sum, bessel_projection,
                      calibrate_normalization, coeff_bar, coeff_unbar,
                      forward_transform, gauss_legendre_rule, inverse_transform,
                      legendre_projection, orthogonality_matrix_j, roundtrip,
-                     series_from_json, series_to_json, spherical_j)
+                     series_from_json, series_to_json, solve, spherical_j)
 
 
 @pytest.fixture(scope="module")
 def config():
     return TransformConfig()
+
+
+def pointwise(fn, grid):
+    """fn at each element of grid as a Python float, in the grid's shape."""
+    values = [fn(float(x)) for x in grid.flat]
+    return np.array(values, dtype=complex).reshape(grid.shape)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSeriesTypes:
@@ -189,8 +201,8 @@ class TestRoundtrip:
         rng = np.random.default_rng(11)
         coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         g = BesselSeries(coeffs)
-        for z in [0.0, 2.0]:
-            got = roundtrip(g, z, config)
+        zs = np.array([0.0, 2.0])
+        for z, got in zip(zs, roundtrip(g, zs, config)):
             want = complex(g(z))
             assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
@@ -207,3 +219,72 @@ class TestJson:
                     {"kind": "legendre", "coeffs": [[1.0]]}):
             with pytest.raises(DomainError):
                 series_from_json(doc)
+
+
+class TestGridCalls:
+    """A scalar or an array goes in, a result of its shape comes out, equal
+    bit for bit to one call per point."""
+
+    Z_GRIDS = [np.array(2.5), np.array([-7.0, 0.0, 3.25]),
+               np.array([[-40.0, 1.0], [0.5, 33.3]])]
+    T_GRIDS = [np.array(-0.25), np.array([-0.6, 0.0, 0.5]),
+               np.array([[0.1, -0.3], [0.7, 0.2]])]
+
+    @pytest.mark.parametrize("z", Z_GRIDS, ids=["0d", "1d", "2d"])
+    def test_forward(self, config, z):
+        f = LegendreSeries([0.3 - 0.2j, 1.1, -0.7j, 0.2])
+        got = forward_transform(f, z, config)
+        assert same_bits(got, pointwise(lambda s: forward_transform(f, s, config), z))
+
+    @pytest.mark.parametrize("z", Z_GRIDS, ids=["0d", "1d", "2d"])
+    def test_apply_operator(self, config, z):
+        op = DifferentialOperator([1.5, 0.3, -0.6])
+        f = LegendreSeries([0.3 - 0.2j, 1.1, -0.7j])
+        got = apply_operator(op, f, z, config)
+        assert same_bits(got, pointwise(lambda s: apply_operator(op, f, s, config), z))
+
+    @pytest.mark.parametrize("z", Z_GRIDS, ids=["0d", "1d", "2d"])
+    def test_g_at(self, config, z):
+        sol = solve(DifferentialOperator([1.0, 0.0, -1.0]), BesselSeries([2.0, 0.5j]),
+                    16, config)
+        assert same_bits(sol.g_at(z), pointwise(sol.g_at, z))
+
+    def test_scalar_in_scalar_out(self, config):
+        g = BesselSeries([2.0])
+        assert isinstance(forward_transform(LegendreSeries([1.0]), 1.0, config), complex)
+        assert isinstance(inverse_transform(g, 0.5, config), complex)
+
+    @pytest.mark.parametrize("t", T_GRIDS, ids=["0d", "1d", "2d"])
+    def test_inverse(self, config, t):
+        g = BesselSeries([0.5 + 0.1j, -0.3 + 0.7j, 0.9 - 0.2j])
+        got = inverse_transform(g, t, config)
+        assert same_bits(got, pointwise(lambda s: inverse_transform(g, s, config), t))
+
+    def test_roundtrip(self):
+        # a 6-point compact rule keeps each inverse leg to 6 line integrals
+        cfg = TransformConfig(compact_rule=gauss_legendre_rule(6))
+        g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j])
+        at = {z: roundtrip(g, z, cfg) for z in (0.0, 2.0, 7.0, -1.5)}
+        for z in (np.array(2.0), np.array([0.0, 2.0, 7.0]),
+                  np.array([[0.0, 7.0], [2.0, -1.5]])):
+            assert same_bits(roundtrip(g, z, cfg), pointwise(at.__getitem__, z))
+
+    def test_roundtrip_runs_one_inverse_leg(self, config, monkeypatch):
+        config.divisor()
+        calls = []
+        line = bandlim.transform.integrate_oscillatory_line
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return line(*args, **kwargs)
+        monkeypatch.setattr(bandlim.transform, "integrate_oscillatory_line", counting)
+        roundtrip(BesselSeries([2.0]), np.array([0.0, 2.0, 7.0]), config)
+        assert len(calls) == len(config.compact_rule) == 32
+
+    def test_inverse_checks_every_t_first(self, config, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bandlim.transform, "integrate_oscillatory_line",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(DomainError):
+            inverse_transform(BesselSeries([2.0]), [0.2, 1.0], config)
+        assert calls == []
