@@ -29,7 +29,8 @@ class ConvergenceError(BandlimError, ArithmeticError):
     """An iterative computation exhausted its budget without converging.
 
     For line integrals the last two accelerated values are attached so the
-    caller can judge how far apart they are.
+    caller can judge how far apart they are; for a stacked integral they
+    are those of the first row that did not converge.
     """
 
     def __init__(self, message, last_values=None):

@@ -167,11 +167,11 @@ def _seg_rule():
 
 
 def _segment_integral(fn, a, b):
-    """int_a^b fn by the segment rule; fn evaluates its envelope through
-    _eval_integrand (see integrate_oscillatory_line)."""
+    """int_a^b fn by the segment rule, row by row; fn maps the nodes to a
+    stack of shape (k, m) (see _line_integrals)."""
     rule = _seg_rule()
     x = 0.5 * (b - a) * rule.nodes + 0.5 * (a + b)
-    return 0.5 * (b - a) * complex(np.sum(rule.weights * fn(x)))
+    return 0.5 * (b - a) * np.sum(rule.weights * fn(x), axis=-1)
 
 
 @functools.cache
@@ -184,78 +184,99 @@ def _levin_weights(n):
     return coef
 
 
-def _levin_limit(seq, prefix, k0):
-    """Levin u estimate of the limit of a partial-sum sequence.
+def _levin_limit(seq, k0):
+    """Levin u estimates of the limits of partial-sum sequences.
 
-    Uses the first `prefix` entries of seq; k0 is the index of the first
-    term relative to the true start of the tail (the remainder after k
-    segments scales like 1/(k0 + k), and the remainder estimates must use
-    that offset or the extrapolation model is wrong).
+    Works along the last axis of seq, one sequence per row; k0 is the index
+    of the first term relative to the true start of the tail (the remainder
+    after k segments scales like 1/(k0 + k), and the remainder estimates
+    must use that offset or the extrapolation model is wrong).  A row whose
+    estimate breaks down (a zero or non-finite denominator or value) gets
+    its last partial sum instead.
     """
-    seq = np.asarray(seq[:prefix], dtype=complex)
-    n = seq.size - 2
+    seq = np.asarray(seq, dtype=complex)
+    n = seq.shape[-1] - 2
     if n < 2:
-        return complex(seq[-1])
-    idx = np.arange(1, seq.size)
-    S = seq[idx]
-    terms = seq[idx] - seq[idx - 1]
+        return seq[..., -1]
+    idx = np.arange(1, seq.shape[-1])
+    S = seq[..., 1:]
+    terms = S - seq[..., :-1]
     w = (1.0 + k0 + idx) * terms
     w = np.where(np.abs(w) < 1e-280, 1e-280, w)
     coef = _levin_weights(n)
-    den = np.sum(coef / w)
-    if den == 0 or not np.isfinite(den):
-        return complex(seq[-1])
-    val = complex(np.sum(coef * S / w) / den)
-    return val if np.isfinite(val) else complex(seq[-1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        den = (coef / w).sum(axis=-1)
+        val = (coef * S / w).sum(axis=-1) / den
+    ok = (den != 0) & np.isfinite(den) & np.isfinite(val)
+    return np.where(ok, val, seq[..., -1])
 
 
 def _accelerate(partials, ratio, max_deflations, k0):
-    """Best limit estimate for tail partial sums.
+    """Best limit estimates for rows of tail partial sums, shape (k, L).
 
     Alternates known-ratio deflation (removes the oscillatory mode with the
     given per-segment ratio) with Levin extrapolation of each deflation
-    column; keeps whichever candidate has the smallest internal spread.
-    Returns (estimate, spread); the spread is a rough uncertainty.
+    column.  The candidates are, in order: the last partial sum, then for
+    each column its last partial sum and its Levin estimates on the
+    prefixes _LEVIN_PREFIXES; each row keeps the first candidate with the
+    smallest internal spread.  Every Levin estimate of one length, over all
+    columns and rows, is one _levin_limit call.  Returns (estimates,
+    spreads) of shape (k,); a spread is a rough uncertainty.
     """
     s = np.asarray(partials, dtype=complex)
-    best = complex(s[-1])
-    best_unc = abs(s[-1] - s[-2]) if s.size > 1 else math.inf
+    k = s.shape[0]
+    values = [s[:, -1]]
+    spreads = [np.abs(s[:, -1] - s[:, -2]) if s.shape[1] > 1 else np.full(k, math.inf)]
+    columns = []
     for _ in range(max_deflations + 1):
-        if s.size >= 3:
-            delta = abs(s[-1] - s[-2])
-            if delta < best_unc:
-                best, best_unc = complex(s[-1]), delta
-            for prefix in _LEVIN_PREFIXES:
-                p = min(prefix, s.size)
-                lv = _levin_limit(s, p, k0)
-                spread = abs(lv - _levin_limit(s, p - 1, k0))
-                if spread < best_unc:
-                    best, best_unc = lv, spread
-                if p == s.size:
-                    break
-        if s.size < 3 or abs(1.0 - ratio) < 1e-8:
+        if s.shape[1] < 3:
             break
-        s = (s[1:] - ratio * s[:-1]) / (1.0 - ratio)
-    return best, best_unc
+        columns.append(s)
+        if abs(1.0 - ratio) < 1e-8:
+            break
+        s = (s[:, 1:] - ratio * s[:, :-1]) / (1.0 - ratio)
+
+    prefixes = [sorted({min(p, col.shape[1]) for p in _LEVIN_PREFIXES})
+                for col in columns]
+    users = {}  # sequence length -> the columns that need its Levin estimate
+    for c, ps in enumerate(prefixes):
+        for n in {m for p in ps for m in (p, p - 1)}:
+            users.setdefault(n, []).append(c)
+    levin = {}
+    for n, cs in users.items():
+        est = _levin_limit(np.concatenate([columns[c][:, :n] for c in cs]), k0)
+        levin.update(zip([(c, n) for c in cs], est.reshape(len(cs), k)))
+
+    for c, col in enumerate(columns):
+        values.append(col[:, -1])
+        spreads.append(np.abs(col[:, -1] - col[:, -2]))
+        for p in prefixes[c]:
+            values.append(levin[c, p])
+            spreads.append(np.abs(levin[c, p] - levin[c, p - 1]))
+    spreads = np.array(spreads)
+    spreads[np.isnan(spreads)] = math.inf
+    best = np.argmin(spreads, axis=0)  # the first minimum: earlier candidates win ties
+    rows = np.arange(k)
+    return np.array(values)[best, rows], spreads[best, rows]
 
 
-def integrate_oscillatory_line(envelope, t, params=None):
-    """int_-inf^inf envelope(y) e^{-iyt} dy for a 1/|y|-decay envelope.
+def _line_integrals(envelope, t, params, labels=None):
+    """Stacked line integrals int envelope(y)[i] e^{-iyt} dy, i = 0..k-1.
 
-    envelope must be vectorized: an array of y in, an array of the same
-    shape out.
-
-    Returns the accelerated limit once successive accelerated values agree
-    to params.tol relatively; raises ConvergenceError (carrying the last
-    two values) if max_segments is exhausted first.
+    envelope maps nodes y of shape (m,) to a stack of shape (k, m) whose
+    rows decay like 1/|y|; every row shares t and the nodes.  Each row keeps
+    its own history and is frozen at the first check where successive
+    accelerated values agree to params.tol relatively, so a row gets
+    exactly the value a one-row call on its envelope values gets.  Returns
+    the k values.  Raises ConvergenceError naming t, and labels[i] for each
+    row i that did not converge, once max_segments is exhausted; it carries
+    the last two values of the first such row.
     """
-    if params is None:
-        params = LineIntegralParams()
     t = float(t)
     if not math.isfinite(t):
         raise EvaluationError("t must be finite")
     L = _SEGMENT
-    fn = lambda y: _eval_integrand(envelope, y) * np.exp(-1j * y * t)
+    fn = lambda y: envelope(y) * np.exp(-1j * y * t)
 
     # the beat mode at frequency |1 - |t|| needs samples out to ~1/(1-|t|)
     edge_dist = abs(1.0 - abs(t))
@@ -271,10 +292,13 @@ def integrate_oscillatory_line(envelope, t, params=None):
     # with L = pi both Bessel-tail modes share one per-segment ratio
     ratio_right = -np.exp(-1j * math.pi * t)
     ratio_left = -np.exp(1j * math.pi * t)
+    k0 = halfwidth / L
 
     terms_r, terms_l = [], []
     nseg = 0
-    history = []
+    result = np.empty(core.shape, dtype=complex)
+    pending = np.arange(core.size)  # rows not yet converged
+    history = []  # the pending rows' values at the last one or two checks
     batch = _MAX_DEFLATIONS
     while nseg < params.max_segments:
         target = min(nseg + batch, params.max_segments)
@@ -284,19 +308,40 @@ def integrate_oscillatory_line(envelope, t, params=None):
             terms_l.append(_segment_integral(fn, -a - L, -a))
             nseg += 1
         batch = 6
-        k0 = halfwidth / L
-        right, unc_r = _accelerate(np.cumsum(terms_r), ratio_right,
-                                   _MAX_DEFLATIONS, k0)
-        left, unc_l = _accelerate(np.cumsum(terms_l), ratio_left,
-                                  _MAX_DEFLATIONS, k0)
-        est = core + right + left
-        scale = params.tol * max(1.0, abs(est))
-        if (history and abs(est - history[-1]) <= scale
-                and unc_r + unc_l <= _UNC_FACTOR * scale):
-            return est
+        right, unc_r = _accelerate(np.cumsum(terms_r, axis=0).T[pending],
+                                   ratio_right, _MAX_DEFLATIONS, k0)
+        left, unc_l = _accelerate(np.cumsum(terms_l, axis=0).T[pending],
+                                  ratio_left, _MAX_DEFLATIONS, k0)
+        est = core[pending] + right + left
+        if history:
+            scale = params.tol * np.maximum(1.0, np.abs(est))
+            done = ((np.abs(est - history[-1]) <= scale)
+                    & (unc_r + unc_l <= _UNC_FACTOR * scale))
+            result[pending[done]] = est[done]
+            pending, est = pending[~done], est[~done]
+            if not pending.size:
+                return result
+            history = [history[-1][~done]]
         history.append(est)
+    rows = "" if labels is None else " for " + ", ".join(labels[i] for i in pending)
     raise ConvergenceError(
-        f"line integral did not converge to tol={params.tol} "
-        f"within {params.max_segments} segments",
-        last_values=tuple(history[-2:]),
+        f"line integral at t={t!r} did not converge to tol={params.tol} "
+        f"within {params.max_segments} segments{rows}",
+        last_values=tuple(complex(h[0]) for h in history[-2:]),
     )
+
+
+def integrate_oscillatory_line(envelope, t, params=None):
+    """int_-inf^inf envelope(y) e^{-iyt} dy for a 1/|y|-decay envelope.
+
+    envelope must be vectorized: an array of y in, an array of the same
+    shape out.
+
+    Returns the accelerated limit once successive accelerated values agree
+    to params.tol relatively; raises ConvergenceError (naming t and
+    carrying the last two values) if max_segments is exhausted first.
+    """
+    if params is None:
+        params = LineIntegralParams()
+    return complex(_line_integrals(lambda y: _eval_integrand(envelope, y)[None],
+                                   t, params)[0])

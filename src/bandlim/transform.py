@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidRuleError, RuleTooSmallError
+from .errors import ConvergenceError, DomainError, InvalidRuleError, RuleTooSmallError
 from .quadrature import (LineIntegralParams, QuadratureRule, _eval_integrand,
-                         gauss_legendre_rule, integrate_oscillatory_line)
+                         _line_integrals, gauss_legendre_rule,
+                         integrate_oscillatory_line)
 from .specfun import _check_order, _jn_table, legendre_all
 
 CALIBRATED = "calibrated"
@@ -91,8 +92,9 @@ class TransformConfig:
     """Normalization convention, line-integral tuning, and compact rule.
 
     The measured inverse divisor C* and the spherical-Bessel diagonal
-    norms K_n are computed on first use and cached; both are pure
-    functions of the parameters, so a duplicated lazy computation under
+    norms K_n = int j_n(y)^2 dy (measured by bessel_projection) are
+    computed on first use and cached; each is its exact value within the
+    line-integral tolerance, so a duplicated lazy computation under
     concurrency is harmless.
     """
 
@@ -112,14 +114,6 @@ class TransformConfig:
         if self.normalization == PAPER_QUARTER:
             return PAPER_C
         return calibrate_normalization(self)
-
-    def k_norm(self, n):
-        """Measured K_n = int j_n(y)^2 dy, cached."""
-        if n not in self._k_diag:
-            env = _jn_product_envelope(n, n)
-            self._k_diag[n] = complex(
-                integrate_oscillatory_line(env, 0.0, self.line_params)).real
-        return self._k_diag[n]
 
 
 def forward_transform(f, z, config):
@@ -147,9 +141,15 @@ def inverse_transform(g, t, config):
     if np.any(np.abs(t) >= 1.0):
         raise DomainError(
             f"inverse_transform: |t| = {np.max(np.abs(t))} not inside (-1, 1)")
-    values = [integrate_oscillatory_line(g, s, config.line_params) / config.divisor()
-              for s in t.flat]
-    return np.array(values, dtype=complex).reshape(t.shape)[()]  # 0-d: a scalar
+    values = np.empty(t.shape, dtype=complex)
+    for i, s in enumerate(t.flat):
+        try:
+            raw = integrate_oscillatory_line(g, s, config.line_params)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"inverse_transform at grid index {i}: {exc}",
+                                   last_values=exc.last_values) from exc
+        values.flat[i] = raw / config.divisor()
+    return values[()]  # 0-d: a scalar
 
 
 def calibrate_normalization(config, mode=0):
@@ -192,26 +192,22 @@ def legendre_projection(f, nmax, rule):
     return LegendreSeries(coeffs)
 
 
-def _jn_product_envelope(n, m):
-    nmax = max(n, m)
+def bessel_projection(g, nmax, config):
+    """Bessel coefficients c_n = int g(y) j_n(y) dy / K_n, K_n = int j_n^2 dy
+    measured.  The nmax + 1 projections, and every K_n not yet cached on the
+    config, are the rows of one stacked line integral."""
+    nmax = _check_order(nmax)
+    norms = config._k_diag
+    missing = [n for n in range(nmax + 1) if n not in norms]
+    labels = [f"c_{n}" for n in range(nmax + 1)] + [f"K_{n}" for n in missing]
 
     def env(y):
         table = _jn_table(nmax, y)
-        return table[n] * table[m]
+        return np.concatenate([_eval_integrand(g, y) * table, table[missing] ** 2])
 
-    return env
-
-
-def bessel_projection(g, nmax, config):
-    """Bessel coefficients c_n = int g(y) j_n(y) dy / K_n, K_n measured."""
-    nmax = _check_order(nmax)
-    coeffs = np.empty(nmax + 1, dtype=complex)
-    for n in range(nmax + 1):
-        def env(y, n=n):
-            return g(y) * _jn_table(n, y)[n]
-        raw = integrate_oscillatory_line(env, 0.0, config.line_params)
-        coeffs[n] = raw / config.k_norm(n)
-    return BesselSeries(coeffs)
+    raw = _line_integrals(env, 0.0, config.line_params, labels)
+    norms.update(zip(missing, raw[nmax + 1:].real))
+    return BesselSeries(raw[:nmax + 1] / [norms[n] for n in range(nmax + 1)])
 
 
 def bauer_partial_sum(z, t, order):
@@ -235,17 +231,22 @@ def roundtrip(g, z, config):
 
 
 def orthogonality_matrix_j(nmax, params=None):
-    """Measured Gram matrix G[n, m] = int_-inf^inf j_n(y) j_m(y) dy."""
+    """Measured Gram matrix G[n, m] = int_-inf^inf j_n(y) j_m(y) dy, every
+    entry with n <= m a row of one stacked line integral."""
     nmax = _check_order(nmax)
     if nmax > _ORTHO_NMAX_LIMIT:
         raise DomainError(f"orthogonality_matrix_j limited to nmax <= {_ORTHO_NMAX_LIMIT}")
     if params is None:
         params = LineIntegralParams()
+    iu, ju = np.triu_indices(nmax + 1)
+
+    def env(y):
+        table = _jn_table(nmax, y)
+        return table[iu] * table[ju]
+
+    labels = [f"G[{n}, {m}]" for n, m in zip(iu, ju)]
     gram = np.zeros((nmax + 1, nmax + 1))
-    for n in range(nmax + 1):
-        for m in range(n, nmax + 1):
-            val = integrate_oscillatory_line(_jn_product_envelope(n, m), 0.0, params)
-            gram[n, m] = gram[m, n] = val.real
+    gram[iu, ju] = gram[ju, iu] = _line_integrals(env, 0.0, params, labels).real
     return gram
 
 

@@ -188,6 +188,11 @@ class TestGates:
         assert code == 2
         assert json.loads(out)["pass"] is False
 
+    def test_ortho_nonconvergence_names_pairs(self, capsys):
+        code, out, err = run(capsys, "ortho-check", "--nmax", "9", "--out", "-")
+        assert code == 2 and out == ""
+        assert "t=0.0" in err and "G[1, 9]" in err and "G[0, 0]" not in err
+
 
 class TestPlumbing:
     def test_unknown_subcommand(self, capsys):
@@ -337,3 +342,11 @@ def test_roundtrip_grid_matches_single_points(capsys, tmp_path):
         assert out.splitlines()[0] == header
         singles += out.splitlines()[1:]
     assert rows == singles
+
+
+def test_inverse_grid_nonconvergence_names_point(capsys, tmp_path):
+    path = write_series(tmp_path, "g.json", "bessel", [2.0])
+    code, out, err = run(capsys, "inverse", "--in", path, "--t-min", "0.9",
+                         "--t-max", "1", "--t-steps", "3", "--out", "-")
+    assert code == 2 and out == ""
+    assert "grid index 2" in err and "t=0.999999999" in err

@@ -8,6 +8,7 @@ from bandlim import (ConvergenceError, EvaluationError, InvalidRuleError,
                      LineIntegralParams, QuadratureRule, TransformConfig,
                      forward_transform, gauss_legendre_rule,
                      integrate_compact, integrate_oscillatory_line)
+from bandlim.quadrature import _accelerate, _line_integrals
 
 # callables that do not map an array to an array of the same shape
 NOT_VECTORIZED = {
@@ -195,3 +196,144 @@ class TestOscillatoryLine:
     def test_wrong_shape(self, fn):
         assert_refused_after_one_call(
             lambda f: integrate_oscillatory_line(f, 0.0), fn)
+
+
+# The scalar accelerator the stacked one replaced, kept as its reference:
+# one partial-sum sequence at a time, candidates compared one by one.
+_REF_PREFIXES = (12, 16, 20)
+
+
+def _ref_levin_limit(seq, prefix, k0):
+    seq = np.asarray(seq[:prefix], dtype=complex)
+    n = seq.size - 2
+    if n < 2:
+        return complex(seq[-1])
+    idx = np.arange(1, seq.size)
+    S = seq[idx]
+    terms = seq[idx] - seq[idx - 1]
+    w = (1.0 + k0 + idx) * terms
+    w = np.where(np.abs(w) < 1e-280, 1e-280, w)
+    j = np.arange(n + 1)
+    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    coef = (-1.0) ** j * binom * ((1.0 + j) / (1.0 + n)) ** (n - 1)
+    den = np.sum(coef / w)
+    if den == 0 or not np.isfinite(den):
+        return complex(seq[-1])
+    val = complex(np.sum(coef * S / w) / den)
+    return val if np.isfinite(val) else complex(seq[-1])
+
+
+def _ref_accelerate(partials, ratio, max_deflations, k0):
+    s = np.asarray(partials, dtype=complex)
+    best = complex(s[-1])
+    best_unc = abs(s[-1] - s[-2]) if s.size > 1 else math.inf
+    for _ in range(max_deflations + 1):
+        if s.size >= 3:
+            delta = abs(s[-1] - s[-2])
+            if delta < best_unc:
+                best, best_unc = complex(s[-1]), delta
+            for prefix in _REF_PREFIXES:
+                p = min(prefix, s.size)
+                lv = _ref_levin_limit(s, p, k0)
+                spread = abs(lv - _ref_levin_limit(s, p - 1, k0))
+                if spread < best_unc:
+                    best, best_unc = lv, spread
+                if p == s.size:
+                    break
+        if s.size < 3 or abs(1.0 - ratio) < 1e-8:
+            break
+        s = (s[1:] - ratio * s[:-1]) / (1.0 - ratio)
+    return best, best_unc
+
+
+def _tail_rows(rng, ratio, k0, length):
+    """Partial-sum rows: Bessel-like tails with the given per-segment ratio,
+    a random walk, and rows built to hit the accelerator's guards (zero
+    terms, a zero Levin denominator, overflow, NaN spreads)."""
+    j = np.arange(length)
+    rows = []
+    for _ in range(3):
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rows.append(np.cumsum(a * ratio ** j / (k0 + j) + b / (k0 + j) ** 2))
+    rows.append(np.cumsum(rng.normal(size=length) + 1j * rng.normal(size=length)))
+    repeated = rows[0].copy()
+    repeated[length // 2:] = repeated[length // 2]  # zero terms: |w| < 1e-280
+    rows.append(repeated)
+    rows.append(np.zeros(length))  # every w floored; den == 0 at lengths 4, 5, 13
+    rows.append(np.full(length, 0.5 - 2j))
+    huge = np.full(length, 1e280 + 0j)
+    huge[:length // 2:2] *= 1.5  # zero terms later: S / w overflows
+    rows.append(huge)
+    spiked = rows[0].copy()
+    spiked[-1] = math.inf  # NaN in the deflation columns: NaN spreads
+    rows.append(spiked)
+    return np.array(rows, dtype=complex)
+
+
+class TestAcceleratorOracle:
+    """Every row of one stacked _accelerate call matches the scalar
+    reference on that row."""
+
+    RATIOS = [-np.exp(-1j * math.pi * t) for t in (0.0, 0.3, 0.7, 0.95, 1.0)] + \
+        [-np.exp(1j * math.pi * t) for t in (0.3, 0.7)] + [1.0]
+
+    @pytest.mark.parametrize("length", range(2, 41))
+    def test_rows_match_reference(self, length):
+        rng = np.random.default_rng(length)
+        for ratio in self.RATIOS:
+            k0 = float(rng.uniform(2.0, 40.0))
+            rows = _tail_rows(rng, ratio, k0, length)
+            with np.errstate(all="ignore"):
+                est, spread = _accelerate(rows, ratio, 12, k0)
+                ref = [_ref_accelerate(row, ratio, 12, k0) for row in rows]
+            assert est.shape == spread.shape == (len(rows),)
+            for e, u, (want, want_unc) in zip(est, spread, ref):
+                assert e == want or abs(e - want) <= 1e-12 * max(1.0, abs(want))
+                assert (u == want_unc == math.inf
+                        or abs(u - want_unc) <= 1e-12 * max(1.0, want_unc))
+
+    def test_single_partial_sum(self):
+        est, spread = _accelerate(np.array([[1.0 + 2j]]), -1.0, 12, 3.0)
+        assert est[0] == 1.0 + 2j and spread[0] == math.inf
+
+
+def _gaussian(y):
+    return np.exp(-np.asarray(y, dtype=float) ** 2)
+
+
+class TestStackedLine:
+    """Rows of one _line_integrals call are independent one-row calls."""
+
+    ROWS = (_gaussian, j0_env, _j1)
+
+    def stacked(self, y):
+        return np.array([f(y) for f in self.ROWS])
+
+    def test_rows_equal_one_row_calls(self):
+        params = LineIntegralParams()
+        for t in (0.0, 0.3, -0.8):
+            got = _line_integrals(self.stacked, t, params)
+            want = [integrate_oscillatory_line(f, t, params) for f in self.ROWS]
+            assert got.tolist() == want
+
+    def test_one_failing_row_is_named(self):
+        # the Gaussian row is exact after its core; the Bessel rows cannot
+        # reach tol=1e-16 in 24 segments this close to the edge
+        params = LineIntegralParams(tol=1e-16, max_segments=24)
+        with pytest.raises(ConvergenceError) as info:
+            _line_integrals(self.stacked, 0.97, params, ["gauss", "j0", "j1"])
+        message = str(info.value)
+        assert "t=0.97" in message and message.endswith("for j0, j1")
+        with pytest.raises(ConvergenceError) as alone:
+            integrate_oscillatory_line(j0_env, 0.97, params)
+        assert info.value.last_values == alone.value.last_values
+        assert "t=0.97" in str(alone.value)
+        integrate_oscillatory_line(_gaussian, 0.97, params)
+
+    def test_one_row_result_types(self):
+        val = integrate_oscillatory_line(j0_env, 0.2)
+        assert type(val) is complex
+        params = LineIntegralParams(tol=1e-16, max_segments=24)
+        with pytest.raises(ConvergenceError) as info:
+            integrate_oscillatory_line(j0_env, 0.97, params)
+        assert all(type(v) is complex for v in info.value.last_values)

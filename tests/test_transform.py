@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import bandlim.transform
-from bandlim import (PAPER_QUARTER, BesselSeries, DifferentialOperator,
-                     DomainError, LegendreSeries, LineIntegralParams,
-                     RuleTooSmallError, TransformConfig, apply_operator,
-                     bauer_partial_sum, bessel_projection,
+from bandlim import (PAPER_QUARTER, BesselSeries, ConvergenceError,
+                     DifferentialOperator, DomainError, LegendreSeries,
+                     LineIntegralParams, RuleTooSmallError, TransformConfig,
+                     apply_operator, bauer_partial_sum, bessel_projection,
                      calibrate_normalization, coeff_bar, coeff_unbar,
-                     forward_transform, gauss_legendre_rule, inverse_transform,
+                     forward_transform, gauss_legendre_rule,
+                     integrate_oscillatory_line, inverse_transform,
                      legendre_projection, orthogonality_matrix_j, roundtrip,
                      series_from_json, series_to_json, solve, spherical_j)
+from bandlim.specfun import _jn_table
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +290,68 @@ class TestGridCalls:
         with pytest.raises(DomainError):
             inverse_transform(BesselSeries([2.0]), [0.2, 1.0], config)
         assert calls == []
+
+
+def count_engine_calls(monkeypatch):
+    calls = []
+    engine = bandlim.transform._line_integrals
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return engine(*args, **kwargs)
+    monkeypatch.setattr(bandlim.transform, "_line_integrals", counting)
+    return calls
+
+
+class TestStackedIntegrals:
+    """The Gram matrix and a Bessel projection are one stacked line integral
+    each, and every row equals a one-row call on its envelope values."""
+
+    def test_gram_rows_equal_one_row_calls(self):
+        gram = orthogonality_matrix_j(6)
+        for n in range(7):
+            for m in range(n, 7):
+                want = integrate_oscillatory_line(
+                    lambda y: _jn_table(6, y)[n] * _jn_table(6, y)[m], 0.0).real
+                assert gram[n, m] == gram[m, n] == want
+
+    def test_projection_rows_equal_one_row_calls(self):
+        cfg = TransformConfig()
+        g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j, 0.2])
+        got = bessel_projection(g, 4, cfg).coeffs
+        raw = [integrate_oscillatory_line(lambda y: g(y) * _jn_table(4, y)[n], 0.0)
+               for n in range(5)]
+        norms = [integrate_oscillatory_line(lambda y: _jn_table(4, y)[n] ** 2, 0.0).real
+                 for n in range(5)]
+        assert [cfg._k_diag[n] for n in range(5)] == norms
+        assert same_bits(got, np.array(raw) / norms)
+
+    def test_one_engine_call_each(self, monkeypatch):
+        calls = count_engine_calls(monkeypatch)
+        orthogonality_matrix_j(8)
+        assert len(calls) == 1
+        cfg = TransformConfig()
+        g = BesselSeries([0.5, -0.3j, 0.9])
+        bessel_projection(g, 4, cfg)  # measures K_0..K_4 in the same call
+        bessel_projection(g, 4, cfg)  # reads them from the cache
+        assert len(calls) == 3
+
+    def test_failing_rows_named(self):
+        with pytest.raises(ConvergenceError) as info:
+            orthogonality_matrix_j(2, LineIntegralParams(tol=1e-16, max_segments=12))
+        assert "t=0.0" in str(info.value) and "G[0, 2]" in str(info.value)
+        with pytest.raises(ConvergenceError) as info:
+            bessel_projection(BesselSeries([1.0]), 1, TransformConfig(
+                line_params=LineIntegralParams(tol=1e-16, max_segments=12)))
+        assert str(info.value).endswith("for c_0, c_1, K_0, K_1")
+
+    def test_inverse_grid_names_failing_index(self, config):
+        g = BesselSeries([2.0])
+        t = [0.0, 0.9, 1.0 - 1e-9]
+        with pytest.raises(ConvergenceError) as info:
+            inverse_transform(g, t, config)
+        with pytest.raises(ConvergenceError) as alone:
+            inverse_transform(g, t[2], config)
+        assert "grid index 2" in str(info.value)
+        assert f"t={t[2]!r}" in str(info.value)
+        assert info.value.last_values == alone.value.last_values
