@@ -34,11 +34,12 @@ _SEGMENT = math.pi      # tail segment length: both Bessel-tail modes share a ra
 _MIN_HALFWIDTH = 8.0    # core half-width floor, before rounding up to segments
 _EDGE_SCALE = 20.0      # core half-width ~ _EDGE_SCALE / (1 - |t|)
 _MIN_EDGE_DIST = 4e-4   # clamp for t essentially on the band edge
-_MAX_HALFWIDTH = 6e4
 _SEG_GAUSS_POINTS = 32
 _CORE_CHUNK_PERIODS = 4  # core chunk length in units of the segment length
 _UNC_FACTOR = 500.0  # accepted accelerator spread, in units of tol
-_MAX_DEFLATIONS = 12  # known-ratio deflations; also the first tail batch
+_MAX_DEFLATIONS = 12  # known-ratio deflations per accelerator call
+_FIRST_CHECK = 12  # tail segments before the first convergence check
+_CHECK_EVERY = 6  # tail segments between later checks
 # Levin extrapolation acts on contiguous prefixes of the partial-sum
 # sequence.  The limit information sits in the early terms (where the
 # signal dominates roundoff), and the transform order must stay modest:
@@ -157,8 +158,8 @@ class LineIntegralParams:
     def __post_init__(self):
         if self.tol <= 0:
             raise InvalidRuleError("tol must be positive")
-        if self.max_segments < _MAX_DEFLATIONS:
-            raise InvalidRuleError(f"need max_segments >= {_MAX_DEFLATIONS}")
+        if self.max_segments < _FIRST_CHECK:
+            raise InvalidRuleError(f"need max_segments >= {_FIRST_CHECK}")
 
 
 @functools.cache
@@ -211,11 +212,12 @@ def _levin_limit(seq, k0):
     return np.where(ok, val, seq[..., -1])
 
 
-def _accelerate(partials, ratio, max_deflations, k0):
+def _accelerate(partials, ratio, k0):
     """Best limit estimates for rows of tail partial sums, shape (k, L).
 
     Alternates known-ratio deflation (removes the oscillatory mode with the
-    given per-segment ratio) with Levin extrapolation of each deflation
+    per-segment ratio: a scalar, or a (k, 1) column with one per row; it
+    stops when every ratio is 1) with Levin extrapolation of each deflation
     column.  The candidates are, in order: the last partial sum, then for
     each column its last partial sum and its Levin estimates on the
     prefixes _LEVIN_PREFIXES; each row keeps the first candidate with the
@@ -228,11 +230,11 @@ def _accelerate(partials, ratio, max_deflations, k0):
     values = [s[:, -1]]
     spreads = [np.abs(s[:, -1] - s[:, -2]) if s.shape[1] > 1 else np.full(k, math.inf)]
     columns = []
-    for _ in range(max_deflations + 1):
+    for _ in range(_MAX_DEFLATIONS + 1):
         if s.shape[1] < 3:
             break
         columns.append(s)
-        if abs(1.0 - ratio) < 1e-8:
+        if np.all(np.abs(1.0 - ratio) < 1e-8):
             break
         s = (s[:, 1:] - ratio * s[:, :-1]) / (1.0 - ratio)
 
@@ -264,13 +266,14 @@ def _line_integrals(envelope, t, params, labels=None):
     """Stacked line integrals int envelope(y)[i] e^{-iyt} dy, i = 0..k-1.
 
     envelope maps nodes y of shape (m,) to a stack of shape (k, m) whose
-    rows decay like 1/|y|; every row shares t and the nodes.  Each row keeps
-    its own history and is frozen at the first check where successive
-    accelerated values agree to params.tol relatively, so a row gets
-    exactly the value a one-row call on its envelope values gets.  Returns
-    the k values.  Raises ConvergenceError naming t, and labels[i] for each
-    row i that did not converge, once max_segments is exhausted; it carries
-    the last two values of the first such row.
+    rows decay like 1/|y|; every row shares t and the nodes.  The right and
+    left tails of row i are rows i and k + i of one stack of partial sums.
+    Each row keeps its own history and is frozen at the first check where
+    successive accelerated values agree to params.tol relatively, so a row
+    gets exactly the value a one-row call on its envelope values gets.
+    Returns the k values.  Raises ConvergenceError naming t, and labels[i]
+    for each row i that did not converge, once max_segments is exhausted;
+    it carries the last two values of the first such row.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -282,51 +285,50 @@ def _line_integrals(envelope, t, params, labels=None):
     edge_dist = abs(1.0 - abs(t))
     halfwidth = max(_MIN_HALFWIDTH,
                     _EDGE_SCALE / max(edge_dist, _MIN_EDGE_DIST))
-    halfwidth = min(halfwidth, _MAX_HALFWIDTH)
     halfwidth = L * math.ceil(halfwidth / L)
 
     nchunks = max(2, math.ceil(2.0 * halfwidth / (_CORE_CHUNK_PERIODS * L)))
     edges = np.linspace(-halfwidth, halfwidth, nchunks + 1)
     core = sum(_segment_integral(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
+    k = core.size
 
-    # with L = pi both Bessel-tail modes share one per-segment ratio
-    ratio_right = -np.exp(-1j * math.pi * t)
-    ratio_left = -np.exp(1j * math.pi * t)
+    # with L = pi both Bessel-tail modes share one per-segment ratio per tail
+    ratio = np.repeat([-np.exp(-1j * math.pi * t), -np.exp(1j * math.pi * t)], k)[:, None]
     k0 = halfwidth / L
 
-    terms_r, terms_l = [], []
+    terms = []  # per segment: every row's right tail term, then its left
     nseg = 0
-    result = np.empty(core.shape, dtype=complex)
-    pending = np.arange(core.size)  # rows not yet converged
+    result = np.empty(k, dtype=complex)
+    pending = np.arange(k)  # rows not yet converged
     history = []  # the pending rows' values at the last one or two checks
-    batch = _MAX_DEFLATIONS
+    batch = _FIRST_CHECK
     while nseg < params.max_segments:
         target = min(nseg + batch, params.max_segments)
         while nseg < target:
             a = halfwidth + nseg * L
-            terms_r.append(_segment_integral(fn, a, a + L))
-            terms_l.append(_segment_integral(fn, -a - L, -a))
+            terms.append(np.concatenate([_segment_integral(fn, a, a + L),
+                                         _segment_integral(fn, -a - L, -a)]))
             nseg += 1
-        batch = 6
-        right, unc_r = _accelerate(np.cumsum(terms_r, axis=0).T[pending],
-                                   ratio_right, _MAX_DEFLATIONS, k0)
-        left, unc_l = _accelerate(np.cumsum(terms_l, axis=0).T[pending],
-                                  ratio_left, _MAX_DEFLATIONS, k0)
-        est = core[pending] + right + left
+        batch = _CHECK_EVERY
+        n = pending.size
+        # fancy indexing copies: the accelerator gets C-contiguous rows
+        rows = np.concatenate([pending, pending + k])
+        tails, spread = _accelerate(np.cumsum(terms, axis=0).T[rows], ratio[rows], k0)
+        est = core[pending] + tails[:n] + tails[n:]
         if history:
             scale = params.tol * np.maximum(1.0, np.abs(est))
             done = ((np.abs(est - history[-1]) <= scale)
-                    & (unc_r + unc_l <= _UNC_FACTOR * scale))
+                    & (spread[:n] + spread[n:] <= _UNC_FACTOR * scale))
             result[pending[done]] = est[done]
             pending, est = pending[~done], est[~done]
             if not pending.size:
                 return result
             history = [history[-1][~done]]
         history.append(est)
-    rows = "" if labels is None else " for " + ", ".join(labels[i] for i in pending)
+    named = "" if labels is None else " for " + ", ".join(labels[i] for i in pending)
     raise ConvergenceError(
         f"line integral at t={t!r} did not converge to tol={params.tol} "
-        f"within {params.max_segments} segments{rows}",
+        f"within {params.max_segments} segments{named}",
         last_values=tuple(complex(h[0]) for h in history[-2:]),
     )
 

@@ -91,11 +91,9 @@ def coeff_unbar(series):
 class TransformConfig:
     """Normalization convention, line-integral tuning, and compact rule.
 
-    The measured inverse divisor C* and the spherical-Bessel diagonal
-    norms K_n = int j_n(y)^2 dy (measured by bessel_projection) are
-    computed on first use and cached; each is its exact value within the
-    line-integral tolerance, so a duplicated lazy computation under
-    concurrency is harmless.
+    The measured inverse divisor C* is computed on first use and cached; it
+    is its exact value within the line-integral tolerance, so a duplicated
+    lazy computation under concurrency is harmless.
     """
 
     def __init__(self, normalization=CALIBRATED, line_params=None, compact_rule=None):
@@ -108,7 +106,6 @@ class TransformConfig:
         if not isinstance(self.compact_rule, QuadratureRule):
             raise InvalidRuleError("compact_rule must be a QuadratureRule")
         self._c_star = None
-        self._k_diag = {}
 
     def divisor(self):
         if self.normalization == PAPER_QUARTER:
@@ -194,20 +191,18 @@ def legendre_projection(f, nmax, rule):
 
 def bessel_projection(g, nmax, config):
     """Bessel coefficients c_n = int g(y) j_n(y) dy / K_n, K_n = int j_n^2 dy
-    measured.  The nmax + 1 projections, and every K_n not yet cached on the
-    config, are the rows of one stacked line integral."""
+    measured.  Every projection g j_n and every norm j_n^2, n = 0..nmax, is a
+    row of one stacked line integral, so the result depends only on g, nmax
+    and the config's line parameters."""
     nmax = _check_order(nmax)
-    norms = config._k_diag
-    missing = [n for n in range(nmax + 1) if n not in norms]
-    labels = [f"c_{n}" for n in range(nmax + 1)] + [f"K_{n}" for n in missing]
+    labels = [f"{row}_{n}" for row in "cK" for n in range(nmax + 1)]
 
     def env(y):
         table = _jn_table(nmax, y)
-        return np.concatenate([_eval_integrand(g, y) * table, table[missing] ** 2])
+        return np.concatenate([_eval_integrand(g, y) * table, table ** 2])
 
     raw = _line_integrals(env, 0.0, config.line_params, labels)
-    norms.update(zip(missing, raw[nmax + 1:].real))
-    return BesselSeries(raw[:nmax + 1] / [norms[n] for n in range(nmax + 1)])
+    return BesselSeries(raw[:nmax + 1] / raw[nmax + 1:].real)
 
 
 def bauer_partial_sum(z, t, order):

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 
@@ -242,6 +243,48 @@ class TestPlumbing:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert float(rows[0][1]) == -1.0 + 1e-9
         assert float(rows[-1][1]) == 1.0 - 1e-9
+
+    @pytest.mark.parametrize("argv", ["eval-jn --n 1 --z-steps 0",
+                                      "eval-pn --n 1 --t-steps 0"],
+                             ids=lambda argv: argv.split()[0])
+    def test_zero_grid_steps_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--out", "-")
+        assert code == 1 and out == ""
+        assert argv.split()[-2] in err
+
+    def test_one_z_step_is_z_min(self, capsys):
+        code, out, _ = run(capsys, "eval-jn", "--n", "0", "--z-min", "2",
+                           "--z-max", "5", "--z-steps", "1", "--out", "-")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 1 and float(rows[0][1]) == 2.0
+
+    def test_one_t_step_is_clamped_t_min(self, capsys):
+        code, out, _ = run(capsys, "eval-pn", "--n", "1", "--t-steps", "1",
+                           "--out", "-")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 1 and rows[0][1] == "-0.999999999"
+
+    def test_series_from_stdin(self, capsys, tmp_path, monkeypatch):
+        path = write_series(tmp_path, "g.json", "bessel", [2.0, 0.5j])
+        argv = ("inverse", "--t-min", "-0.5", "--t-max", "0.5", "--t-steps",
+                "3", "--out", "-")
+        code, want, _ = run(capsys, *argv, "--in", path)
+        assert code == 0
+        with open(path) as fh:
+            monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+        code, got, _ = run(capsys, *argv, "--in", "-")
+        assert code == 0 and got == want
+
+    def test_solve_ode_refuses_legendre_document(self, capsys, tmp_path):
+        h = write_series(tmp_path, "h.json", "legendre", [1.0])
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"op": [[1.0, 0.0]]}))
+        code, out, err = run(capsys, "solve-ode", "--op", str(op), "--in", h,
+                             "--z", "0", "--out", "-")
+        assert code == 1 and out == ""
+        assert "bessel" in err
 
 
 # the config flags each command reads; --out is on every command

@@ -284,7 +284,7 @@ class TestAcceleratorOracle:
             k0 = float(rng.uniform(2.0, 40.0))
             rows = _tail_rows(rng, ratio, k0, length)
             with np.errstate(all="ignore"):
-                est, spread = _accelerate(rows, ratio, 12, k0)
+                est, spread = _accelerate(rows, ratio, k0)
                 ref = [_ref_accelerate(row, ratio, 12, k0) for row in rows]
             assert est.shape == spread.shape == (len(rows),)
             for e, u, (want, want_unc) in zip(est, spread, ref):
@@ -292,8 +292,28 @@ class TestAcceleratorOracle:
                 assert (u == want_unc == math.inf
                         or abs(u - want_unc) <= 1e-12 * max(1.0, want_unc))
 
+    @pytest.mark.parametrize("length", [2, 3, 4, 12, 13, 18, 24, 40])
+    def test_ratio_column_matches_reference(self, length):
+        # one call on right tails (ratio -e^{-i pi t}) stacked over their
+        # left twins (-e^{i pi t}), as the line engine makes it at each check
+        rng = np.random.default_rng(100 + length)
+        for t in (0.0, 0.3, 0.7, 0.95, 1.0):
+            k0 = float(rng.uniform(2.0, 40.0))
+            pair = (-np.exp(-1j * math.pi * t), -np.exp(1j * math.pi * t))
+            blocks = [_tail_rows(rng, ratio, k0, length) for ratio in pair]
+            rows = np.concatenate(blocks)
+            ratios = np.repeat(pair, len(blocks[0]))
+            with np.errstate(all="ignore"):
+                est, spread = _accelerate(rows, ratios[:, None], k0)
+                ref = [_ref_accelerate(row, r, 12, k0) for row, r in zip(rows, ratios)]
+            assert est.shape == spread.shape == (len(rows),)
+            for e, u, (want, want_unc) in zip(est, spread, ref):
+                assert e == want or abs(e - want) <= 1e-12 * max(1.0, abs(want))
+                assert (u == want_unc == math.inf
+                        or abs(u - want_unc) <= 1e-12 * max(1.0, want_unc))
+
     def test_single_partial_sum(self):
-        est, spread = _accelerate(np.array([[1.0 + 2j]]), -1.0, 12, 3.0)
+        est, spread = _accelerate(np.array([[1.0 + 2j]]), -1.0, 3.0)
         assert est[0] == 1.0 + 2j and spread[0] == math.inf
 
 

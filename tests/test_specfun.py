@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from bandlim import (DomainError, InvalidOrderError, gauss_legendre_rule,
                      half_integer_bessel_via_poisson, legendre_all,
                      legendre_p, spherical_j, spherical_j_all)
+from bandlim import specfun
 
 
 def jn_reference(n, z):
@@ -137,6 +139,24 @@ class TestSphericalJ:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             spherical_j(0, math.inf)
+
+    @pytest.mark.parametrize("nmax", [100, 128])
+    def test_high_order_miller_against_mpmath(self, nmax):
+        # at small |z| the downward recurrence from the 1e-30 trial value
+        # overflows unless it is rescaled on the way down
+        mpmath = pytest.importorskip("mpmath")
+        for z in (0.5, 0.75, 1.0, 1.5):
+            with mpmath.workdps(60):
+                ref = [mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(n + 0.5, z)
+                       for n in range(nmax + specfun._MILLER_EXTRA + 1)]
+                if nmax == 128:  # the trial recurrence passes the rescale limit
+                    assert ref[0] / ref[-1] * 1e-30 > specfun._RESCALE_LIMIT
+            for sign in (1, -1):
+                got = spherical_j_all(nmax, sign * z)
+                for n in range(nmax + 1):
+                    want = float(sign ** n * ref[n])
+                    if abs(want) >= sys.float_info.min:
+                        assert abs(got[n] - want) <= 1e-14 * abs(want)
 
 
 class TestPoisson:
