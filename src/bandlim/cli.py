@@ -13,17 +13,19 @@ non-convergence or a violated check tolerance, 3 I/O error.
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
-from .errors import BandlimError, ConvergenceError
+from .errors import BandlimError, ConvergenceError, DomainError
 from .odesolve import operator_from_json, solve
 from .quadrature import LineIntegralParams, gauss_legendre_rule
 from .specfun import legendre_all, spherical_j_all
-from .transform import (CALIBRATED, PAPER_C, PAPER_QUARTER, BesselSeries,
-                        LegendreSeries, TransformConfig, bauer_partial_sum,
-                        bessel_projection, calibrate_normalization, coeff_bar,
-                        coeff_unbar, forward_transform, inverse_transform,
+from .transform import (_DEFAULT_COMPACT_POINTS, CALIBRATED, PAPER_C,
+                        PAPER_QUARTER, BesselSeries, LegendreSeries,
+                        TransformConfig, bauer_partial_sum, bessel_projection,
+                        calibrate_normalization, coeff_bar, coeff_unbar,
+                        forward_transform, inverse_transform,
                         legendre_projection, orthogonality_matrix_j,
                         roundtrip, series_from_json, series_to_json)
 
@@ -60,40 +62,26 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _z_grid(args):
-    if args.z is not None:
-        return np.array([args.z])
-    if args.z_steps < 1:
-        raise argparse.ArgumentTypeError("--z-steps must be >= 1")
-    if args.z_steps == 1:
-        return np.array([args.z_min])
-    return np.linspace(args.z_min, args.z_max, args.z_steps)
-
-
-def _t_grid(args):
-    if args.t is not None:
-        return np.array([args.t])
-    lo = max(args.t_min, -1.0 + _T_CLAMP)
-    hi = min(args.t_max, 1.0 - _T_CLAMP)
-    if args.t_steps < 1:
-        raise argparse.ArgumentTypeError("--t-steps must be >= 1")
-    if args.t_steps == 1:
+def _grid(args, var):
+    """The single --<var> value, else --<var>-steps points from --<var>-min
+    to --<var>-max; a t grid stays strictly inside (-1, 1)."""
+    if getattr(args, var) is not None:
+        return np.array([getattr(args, var)])
+    lo, hi, steps = (getattr(args, f"{var}_{k}") for k in ("min", "max", "steps"))
+    if var == "t":
+        lo, hi = max(lo, -1.0 + _T_CLAMP), min(hi, 1.0 - _T_CLAMP)
+    if steps < 1:
+        raise DomainError(f"--{var}-steps must be >= 1")
+    if steps == 1:  # not linspace: a one-point linspace to hi = inf is nan
         return np.array([lo])
-    return np.linspace(lo, hi, args.t_steps)
+    return np.linspace(lo, hi, steps)
 
 
-def _add_z_flags(p, default_min=0.0, default_max=10.0, default_steps=21):
-    p.add_argument("--z", type=float, default=None, help="single z value")
-    p.add_argument("--z-min", type=float, default=default_min)
-    p.add_argument("--z-max", type=float, default=default_max)
-    p.add_argument("--z-steps", type=int, default=default_steps)
-
-
-def _add_t_flags(p, default_steps=21):
-    p.add_argument("--t", type=float, default=None, help="single t value")
-    p.add_argument("--t-min", type=float, default=-1.0)
-    p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--t-steps", type=int, default=default_steps)
+def _add_grid_flags(p, var, lo, hi, steps=21):
+    p.add_argument(f"--{var}", type=float, default=None, help=f"single {var} value")
+    p.add_argument(f"--{var}-min", type=float, default=lo)
+    p.add_argument(f"--{var}-max", type=float, default=hi)
+    p.add_argument(f"--{var}-steps", type=int, default=steps)
 
 
 _CONFIG_FLAGS = {
@@ -109,7 +97,7 @@ def _add_common(p, *flags):
     """--out and the named _CONFIG_FLAGS; a command accepts only the config
     flags it reads, and every other config field keeps its default."""
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.set_defaults(npoints=32, normalization=CALIBRATED,
+    p.set_defaults(npoints=_DEFAULT_COMPACT_POINTS, normalization=CALIBRATED,
                    max_segments=LineIntegralParams.max_segments)
     for flag in flags:
         p.add_argument("--" + flag, **_CONFIG_FLAGS[flag])
@@ -130,35 +118,21 @@ def _build_config(args):
     return config
 
 
-def _load_legendre(path):
+def _load(path, kind):
+    """A series of the given kind from a series document; the other kind
+    maps exactly by c_n = 2 i^n cbar_n."""
     series = series_from_json(_read_json(path))
-    if isinstance(series, BesselSeries):
-        series = coeff_bar(series)
-    return series
+    if isinstance(series, kind):
+        return series
+    return coeff_bar(series) if kind is LegendreSeries else coeff_unbar(series)
 
 
-def _load_bessel(path):
-    """A Bessel series from a series document; a Legendre series maps
-    exactly by c_n = 2 i^n cbar_n."""
-    series = series_from_json(_read_json(path))
-    if isinstance(series, LegendreSeries):
-        series = coeff_unbar(series)
-    return series
-
-
-def _cmd_eval_jn(args):
-    zs = _z_grid(args)
-    js = spherical_j_all(args.n, zs)[args.n]
-    rows = [[str(args.n), _f(z), _f(j), _f(0.0)] for z, j in zip(zs, js)]
-    _write_csv(args.out, ["n", "z", "re", "im"], rows)
-    return 0
-
-
-def _cmd_eval_pn(args):
-    ts = _t_grid(args)
-    ps = legendre_all(args.n, ts)[args.n]
-    rows = [[str(args.n), _f(t), _f(p), _f(0.0)] for t, p in zip(ts, ps)]
-    _write_csv(args.out, ["n", "t", "re", "im"], rows)
+def _cmd_eval(var, table, args):
+    """One special function, from table(n, grid)[n], on the var grid."""
+    xs = _grid(args, var)
+    vals = table(args.n, xs)[args.n]
+    rows = [[str(args.n), _f(x), _f(v), _f(0.0)] for x, v in zip(xs, vals)]
+    _write_csv(args.out, ["n", var, "re", "im"], rows)
     return 0
 
 
@@ -169,39 +143,22 @@ def _cmd_gauss_rule(args):
     return 0
 
 
-def _cmd_forward(args):
+def _cmd_on_grid(kind, transform, var, args):
+    """transform(series, grid, config) of a series of the given kind."""
     config = _build_config(args)
-    f = _load_legendre(getattr(args, "in"))
-    zs = _z_grid(args)
-    gs = forward_transform(f, zs, config)
-    rows = [[_f(z), _f(g.real), _f(g.imag)] for z, g in zip(zs, gs)]
-    _write_csv(args.out, ["z", "re", "im"], rows)
+    series = _load(getattr(args, "in"), kind)
+    xs = _grid(args, var)
+    vs = transform(series, xs, config)
+    rows = [[_f(x), _f(v.real), _f(v.imag)] for x, v in zip(xs, vs)]
+    _write_csv(args.out, [var, "re", "im"], rows)
     return 0
 
 
-def _cmd_inverse(args):
+def _cmd_project(kind, project, args):
+    """The coefficient document project(series, nmax, config)."""
     config = _build_config(args)
-    g = _load_bessel(getattr(args, "in"))
-    ts = _t_grid(args)
-    vs = inverse_transform(g, ts, config)
-    rows = [[_f(t), _f(v.real), _f(v.imag)] for t, v in zip(ts, vs)]
-    _write_csv(args.out, ["t", "re", "im"], rows)
-    return 0
-
-
-def _cmd_project_legendre(args):
-    config = _build_config(args)
-    f = _load_legendre(getattr(args, "in"))
-    series = legendre_projection(f, args.nmax, config.compact_rule)
-    _write_json(args.out, series_to_json(series))
-    return 0
-
-
-def _cmd_project_bessel(args):
-    config = _build_config(args)
-    g = _load_bessel(getattr(args, "in"))
-    series = bessel_projection(g, args.nmax, config)
-    _write_json(args.out, series_to_json(series))
+    series = _load(getattr(args, "in"), kind)
+    _write_json(args.out, series_to_json(project(series, args.nmax, config)))
     return 0
 
 
@@ -254,16 +211,6 @@ def _cmd_calibrate(args):
     return 0
 
 
-def _cmd_roundtrip(args):
-    config = _build_config(args)
-    g = _load_bessel(getattr(args, "in"))
-    zs = _z_grid(args)
-    vs = roundtrip(g, zs, config)
-    rows = [[_f(z), _f(v.real), _f(v.imag)] for z, v in zip(zs, vs)]
-    _write_csv(args.out, ["z", "re", "im"], rows)
-    return 0
-
-
 def _cmd_solve_ode(args):
     config = _build_config(args)
     op = operator_from_json(_read_json(args.op))
@@ -276,7 +223,7 @@ def _cmd_solve_ode(args):
         "f_series": series_to_json(bundle.f_series),
         "residual": bundle.residual_report,
     }
-    zs = _z_grid(args)
+    zs = _grid(args, "z")
     gs = bundle.g_at(zs)
     report["g"] = [[float(z), float(g.real), float(g.imag)] for z, g in zip(zs, gs)]
     _write_json(args.out, report)
@@ -291,15 +238,15 @@ def build_parser():
 
     p = sub.add_parser("eval-jn", help="spherical Bessel j_n on a z grid")
     p.add_argument("--n", type=int, required=True)
-    _add_z_flags(p)
+    _add_grid_flags(p, "z", 0.0, 10.0)
     _add_common(p)
-    p.set_defaults(fn=_cmd_eval_jn)
+    p.set_defaults(fn=partial(_cmd_eval, "z", spherical_j_all))
 
     p = sub.add_parser("eval-pn", help="Legendre P_n on a t grid")
     p.add_argument("--n", type=int, required=True)
-    _add_t_flags(p)
+    _add_grid_flags(p, "t", -1.0, 1.0)
     _add_common(p)
-    p.set_defaults(fn=_cmd_eval_pn)
+    p.set_defaults(fn=partial(_cmd_eval, "t", legendre_all))
 
     p = sub.add_parser("gauss-rule", help="Gauss-Legendre nodes and weights")
     _add_common(p, "npoints")
@@ -307,27 +254,28 @@ def build_parser():
 
     p = sub.add_parser("forward", help="forward transform of a series on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
-    _add_z_flags(p)
+    _add_grid_flags(p, "z", 0.0, 10.0)
     _add_common(p, "npoints", "show-config")
-    p.set_defaults(fn=_cmd_forward)
+    p.set_defaults(fn=partial(_cmd_on_grid, LegendreSeries, forward_transform, "z"))
 
     p = sub.add_parser("inverse", help="inverse transform on a t grid")
     p.add_argument("--in", required=True, help="series JSON path")
-    _add_t_flags(p)
+    _add_grid_flags(p, "t", -1.0, 1.0)
     _add_common(p, "normalization", "max-segments", "show-config")
-    p.set_defaults(fn=_cmd_inverse)
+    p.set_defaults(fn=partial(_cmd_on_grid, BesselSeries, inverse_transform, "t"))
 
     p = sub.add_parser("project-legendre", help="Legendre coefficients of a series")
     p.add_argument("--in", required=True, help="series JSON path")
     p.add_argument("--nmax", type=int, required=True)
     _add_common(p, "npoints", "show-config")
-    p.set_defaults(fn=_cmd_project_legendre)
+    p.set_defaults(fn=partial(_cmd_project, LegendreSeries, lambda f, nmax, config:
+                              legendre_projection(f, nmax, config.compact_rule)))
 
     p = sub.add_parser("project-bessel", help="spherical-Bessel coefficients")
     p.add_argument("--in", required=True, help="series JSON path")
     p.add_argument("--nmax", type=int, required=True)
     _add_common(p, "max-segments", "show-config")
-    p.set_defaults(fn=_cmd_project_bessel)
+    p.set_defaults(fn=partial(_cmd_project, BesselSeries, bessel_projection))
 
     p = sub.add_parser("bauer-check", help="plane-wave expansion gate")
     p.add_argument("--z", type=float, required=True)
@@ -352,17 +300,17 @@ def build_parser():
 
     p = sub.add_parser("roundtrip", help="inverse-then-forward on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
-    _add_z_flags(p)
+    _add_grid_flags(p, "z", 0.0, 10.0)
     _add_common(p, "npoints", "normalization", "max-segments",
                 "show-config")
-    p.set_defaults(fn=_cmd_roundtrip)
+    p.set_defaults(fn=partial(_cmd_on_grid, BesselSeries, roundtrip, "z"))
 
     p = sub.add_parser("solve-ode", help="solve L g = h by symbol division")
     p.add_argument("--op", required=True, help="operator JSON path")
     p.add_argument("--in", required=True, help="right-hand-side series JSON path")
     p.add_argument("--nmax", type=int, default=16)
     p.add_argument("--residual-threshold", type=float, default=None)
-    _add_z_flags(p, default_min=-10.0, default_max=10.0, default_steps=9)
+    _add_grid_flags(p, "z", -10.0, 10.0, 9)
     _add_common(p, "npoints", "show-config")
     p.set_defaults(fn=_cmd_solve_ode)
 
@@ -380,7 +328,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"bandlim: did not converge: {exc}", file=sys.stderr)
         return 2
-    except (BandlimError, argparse.ArgumentTypeError, ValueError) as exc:
+    except (BandlimError, ValueError) as exc:
         print(f"bandlim: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -83,6 +83,10 @@ class QuadratureRule:
         return self.nodes.size
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def gauss_legendre_rule(npoints):
     """The npoints-point Gauss-Legendre rule on [-1, 1].
 
@@ -91,7 +95,7 @@ def gauss_legendre_rule(npoints):
     w_i = 2 / ((1 - x_i^2) P'_npoints(x_i)^2).  Exact for polynomials of
     degree <= 2 npoints - 1.
     """
-    if not isinstance(npoints, (int, np.integer)) or isinstance(npoints, bool):
+    if not _is_int(npoints):
         raise InvalidRuleError(f"npoints must be an integer, got {npoints!r}")
     n = int(npoints)
     if n < 1 or n > _MAX_RULE_POINTS:
@@ -101,23 +105,18 @@ def gauss_legendre_rule(npoints):
 
     i = np.arange(1, n + 1)
     x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
-    for _ in range(_NEWTON_MAXIT):
+    dx = math.inf
+    for _ in range(_NEWTON_MAXIT + 1):  # the last pass only evaluates P'
         pm, p = np.ones_like(x), x.copy()
         for k in range(1, n):
             pm, p = p, ((2 * k + 1) * x * p - k * pm) / (k + 1)
         dp = n * (pm - x * p) / (1.0 - x * x)
+        if np.max(np.abs(dx)) < _NEWTON_TOL:
+            break  # dp is the derivative at the converged nodes
         dx = p / dp
         x -= dx
-        if np.max(np.abs(dx)) < _NEWTON_TOL:
-            break
     else:
         raise InvalidRuleError(f"Newton iteration for {n}-point rule did not converge")
-
-    # final derivative at the converged nodes
-    pm, p = np.ones_like(x), x.copy()
-    for k in range(1, n):
-        pm, p = p, ((2 * k + 1) * x * p - k * pm) / (k + 1)
-    dp = n * (pm - x * p) / (1.0 - x * x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
 
     # enforce exact symmetry; initial guesses arrive in decreasing order
@@ -156,8 +155,11 @@ class LineIntegralParams:
     max_segments: int = 400
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidRuleError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidRuleError(f"tol must be positive and finite, got {self.tol!r}")
+        if not _is_int(self.max_segments):
+            raise InvalidRuleError(
+                f"max_segments must be an integer, got {self.max_segments!r}")
         if self.max_segments < _FIRST_CHECK:
             raise InvalidRuleError(f"need max_segments >= {_FIRST_CHECK}")
 

@@ -123,11 +123,14 @@ class TestTransformCommands:
 
 class TestLegendreInput:
     """inverse, roundtrip and project-bessel read a Legendre document as
-    its exact Bessel series c_n = 2 i^n cbar_n."""
+    its exact Bessel series c_n = 2 i^n cbar_n; forward and
+    project-legendre read a Bessel document as its Legendre series."""
 
     @pytest.mark.parametrize("argv", [("inverse", "--t", "0.25"),
                                       ("roundtrip", "--z", "1"),
-                                      ("project-bessel", "--nmax", "2")])
+                                      ("project-bessel", "--nmax", "2"),
+                                      ("forward", "--z", "1"),
+                                      ("project-legendre", "--nmax", "2")])
     def test_matches_bessel_document(self, capsys, tmp_path, argv):
         leg = write_series(tmp_path, "f.json", "legendre", [1.0])
         bes = write_series(tmp_path, "g.json", "bessel", [2.0])
@@ -258,6 +261,13 @@ class TestPlumbing:
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert len(rows) == 1 and float(rows[0][1]) == 2.0
+
+    def test_one_z_step_ignores_infinite_z_max(self, capsys):
+        code, out, _ = run(capsys, "eval-jn", "--n", "2", "--z-steps", "1",
+                           "--z-min", "0.3", "--z-max", "inf", "--out", "-")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 1 and float(rows[0][1]) == 0.3
 
     def test_one_t_step_is_clamped_t_min(self, capsys):
         code, out, _ = run(capsys, "eval-pn", "--n", "1", "--t-steps", "1",

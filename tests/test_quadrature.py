@@ -138,6 +138,10 @@ class TestLineIntegralParams:
             LineIntegralParams(max_segments=5)
         with pytest.raises(InvalidRuleError):
             LineIntegralParams(max_segments=11)
+        for bad in (dict(tol=math.inf), dict(tol=math.nan),
+                    dict(max_segments=12.5), dict(max_segments=400.0)):
+            with pytest.raises(InvalidRuleError):
+                LineIntegralParams(**bad)
 
 
 def j0_env(y):
