@@ -74,7 +74,8 @@ def _grid(args, var):
         raise DomainError(f"--{var}-steps must be >= 1")
     if steps == 1:  # not linspace: a one-point linspace to hi = inf is nan
         return np.array([lo])
-    return np.linspace(lo, hi, steps)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite ends: refused later
+        return np.linspace(lo, hi, steps)
 
 
 def _add_grid_flags(p, var, lo, hi, steps=21):
@@ -82,6 +83,14 @@ def _add_grid_flags(p, var, lo, hi, steps=21):
     p.add_argument(f"--{var}-min", type=float, default=lo)
     p.add_argument(f"--{var}-max", type=float, default=hi)
     p.add_argument(f"--{var}-steps", type=int, default=steps)
+
+
+def _threshold(text):
+    """Gate threshold type: a finite float >= 0; argparse refuses the rest."""
+    if 0.0 <= float(text) < np.inf:
+        return float(text)
+    raise argparse.ArgumentTypeError(f"threshold must be finite and >= 0, got {text!r}")
+_threshold.__name__ = "float"  # unparsable text reads "invalid float value"
 
 
 _CONFIG_FLAGS = {
@@ -281,15 +290,15 @@ def build_parser():
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--nmax", type=int, default=60)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_threshold, default=1e-10)
     _add_common(p)
     p.set_defaults(fn=_cmd_bauer_check)
 
     p = sub.add_parser("ortho-check", help="measured j_n orthogonality gate")
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=_threshold, default=1e-6,
                    help="off-diagonal ceiling")
-    p.add_argument("--diag-rel-tol", type=float, default=1e-4,
+    p.add_argument("--diag-rel-tol", type=_threshold, default=1e-4,
                    help="relative spread ceiling for K_n (2n+1)")
     _add_common(p, "max-segments", "show-config")
     p.set_defaults(fn=_cmd_ortho_check)
@@ -309,7 +318,7 @@ def build_parser():
     p.add_argument("--op", required=True, help="operator JSON path")
     p.add_argument("--in", required=True, help="right-hand-side series JSON path")
     p.add_argument("--nmax", type=int, default=16)
-    p.add_argument("--residual-threshold", type=float, default=None)
+    p.add_argument("--residual-threshold", type=_threshold, default=None)
     _add_grid_flags(p, "z", -10.0, 10.0, 9)
     _add_common(p, "npoints", "show-config")
     p.set_defaults(fn=_cmd_solve_ode)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularSymbolError
 from .specfun import _check_order
-from .transform import (BesselSeries, LegendreSeries, coeff_bar,
+from .transform import (BesselSeries, LegendreSeries, _as_coeffs, coeff_bar,
                         forward_transform, legendre_projection)
 
 _SYMBOL_FLOOR = 1e-8
@@ -31,11 +31,7 @@ class DifferentialOperator:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if c.ndim != 1 or c.size < 1:
-            raise DomainError("operator coefficients must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("operator coefficients must be finite")
+        c = _as_coeffs(self.coeffs, "operator coefficients")
         if c.size > 1 and c[-1] == 0:
             raise DomainError("leading operator coefficient must be nonzero")
         object.__setattr__(self, "coeffs", c)

@@ -43,8 +43,8 @@ def legendre_all(nmax, t):
     """
     nmax = _check_order(nmax)
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
-        raise DomainError("legendre_all: |t| > 1 is outside the domain of P_n")
+    if not np.all(np.abs(t) <= 1.0):  # NaN fails too
+        raise DomainError("legendre_all: every t must lie in [-1, 1]")
     out = np.empty((nmax + 1,) + t.shape, dtype=float)
     out[0] = 1.0
     if nmax >= 1:
@@ -56,33 +56,24 @@ def legendre_all(nmax, t):
 
 def legendre_p(n, t):
     """P_n(t) for |t| <= 1."""
-    n = _check_order(n)
-    t = float(t)
-    if abs(t) > 1.0:
-        raise DomainError(f"legendre_p: t = {t} outside [-1, 1]")
     return float(legendre_all(n, t)[n])
 
 
 def _jn_series(nmax, z):
-    """Ascending series for j_n, |z| small.
+    """Ascending series for j_n, |z| small, every order in one pass.
 
     j_n(z) = z^n / (2n+1)!! * sum_k (-z^2/2)^k / (k! prod_{m=1..k}(2n+2m+1))
     """
-    out = np.empty((nmax + 1,) + z.shape, dtype=float)
-    zsq = z * z
-    dfact = 1.0  # (2n+1)!!
-    zpow = np.ones_like(z)
-    for n in range(nmax + 1):
-        if n > 0:
-            dfact *= 2 * n + 1
-            zpow = zpow * z
-        term = np.ones_like(z)
-        total = np.ones_like(z)
-        for k in range(1, 14):
-            term = term * (-zsq) / (2.0 * k * (2 * n + 2 * k + 1))
-            total += term
-        out[n] = zpow / dfact * total
-    return out
+    n = np.arange(nmax + 1).reshape((-1,) + (1,) * z.ndim)
+    zpow = np.cumprod(np.where(n == 0, 1.0, z), axis=0)  # z^n
+    dfact = np.cumprod(2.0 * n + 1, axis=0)  # (2n+1)!!
+    mzsq = -(z * z)
+    k = np.arange(1, 14).reshape((-1,) + (1,) * n.ndim)
+    term = total = np.ones((nmax + 1,) + z.shape)  # the first step rebinds term
+    for denom in 2.0 * k * (2 * n + 2 * k + 1):
+        term = term * mzsq / denom
+        total += term
+    return zpow / dfact * total
 
 
 def _jn_upward(nmax, z):
@@ -112,16 +103,14 @@ def _jn_miller(nmax, z):
             jp = np.where(big, jp * 1e-250, jp)
             jc = np.where(big, jc * 1e-250, jc)
             out[:, big] *= 1e-250
-    # jc now holds the unnormalized j_{-1} trial; normalize with whichever
-    # of j_0, j_1 is better conditioned at each point
+    # normalize with whichever of the j_0, j_1 trials is better conditioned
+    # at each point; at order 0 the j_1 trial is j_0 itself, so j_0 is used
     j0 = np.sin(z) / z
     j1 = j0 / z - np.cos(z) / z
-    use0 = np.abs(out[0]) >= np.abs(out[1]) if nmax >= 1 else np.ones(z.shape, bool)
-    if nmax >= 1:
-        ref = np.where(use0, out[0], out[1])
-        tgt = np.where(use0, j0, j1)
-    else:
-        ref, tgt = out[0], j0
+    trial1 = out[min(nmax, 1)]
+    use0 = np.abs(out[0]) >= np.abs(trial1)
+    ref = np.where(use0, out[0], trial1)
+    tgt = np.where(use0, j0, j1)
     scale = np.where(ref != 0.0, tgt / np.where(ref != 0.0, ref, 1.0), 0.0)
     return out * scale
 
@@ -143,10 +132,7 @@ def _jn_table(nmax, z):
         out[:, up] = _jn_upward(nmax, az[up])
     if mid.any():
         out[:, mid] = _jn_miller(nmax, az[mid])
-    neg = flat < 0.0
-    if neg.any():
-        for n in range(1, nmax + 1, 2):
-            out[n, neg] = -out[n, neg]
+    np.negative(out[1::2], out=out[1::2], where=flat < 0.0)  # j_n(-z) = (-1)^n j_n(z)
     return out.reshape((nmax + 1,) + z.shape)
 
 
@@ -161,7 +147,6 @@ def spherical_j_all(nmax, z):
 
 def spherical_j(n, z):
     """Spherical Bessel function j_n(z) for real z."""
-    n = _check_order(n)
     return float(spherical_j_all(n, z)[n])
 
 

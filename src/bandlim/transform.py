@@ -31,12 +31,12 @@ _DEFAULT_COMPACT_POINTS = 32
 _ORTHO_NMAX_LIMIT = 16
 
 
-def _as_coeffs(coeffs):
+def _as_coeffs(coeffs, what="coefficients"):
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if c.ndim != 1 or c.size < 1:
-        raise DomainError("coefficient sequence must be 1-d and non-empty")
+        raise DomainError(f"{what} must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(c)):
-        raise DomainError("coefficients must be finite")
+        raise DomainError(f"{what} must be finite")
     return c
 
 
@@ -45,6 +45,7 @@ class LegendreSeries:
     """f(t) = sum_n coeffs[n] P_n(t), defined for |t| <= 1."""
 
     coeffs: np.ndarray
+    kind = "legendre"
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
@@ -53,7 +54,6 @@ class LegendreSeries:
         return self.coeffs.size
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
         p = legendre_all(len(self) - 1, t)
         return np.tensordot(self.coeffs, p, axes=(0, 0))
 
@@ -63,6 +63,7 @@ class BesselSeries:
     """g(z) = sum_n coeffs[n] j_n(z), defined for all real z."""
 
     coeffs: np.ndarray
+    kind = "bessel"
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
@@ -71,7 +72,6 @@ class BesselSeries:
         return self.coeffs.size
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
         table = _jn_table(len(self) - 1, z)
         return np.tensordot(self.coeffs, table, axes=(0, 0))
 
@@ -247,13 +247,9 @@ def orthogonality_matrix_j(nmax, params=None):
 
 def series_to_json(series):
     """Exchange form {"kind": ..., "coeffs": [[re, im], ...]}."""
-    if isinstance(series, LegendreSeries):
-        kind = "legendre"
-    elif isinstance(series, BesselSeries):
-        kind = "bessel"
-    else:
+    if not isinstance(series, (LegendreSeries, BesselSeries)):
         raise DomainError(f"not a series: {series!r}")
-    return {"kind": kind,
+    return {"kind": series.kind,
             "coeffs": [[float(c.real), float(c.imag)] for c in series.coeffs]}
 
 
@@ -264,8 +260,7 @@ def series_from_json(obj):
         coeffs = [complex(float(re), float(im)) for re, im in obj["coeffs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed series document: {exc}") from exc
-    if kind == "legendre":
-        return LegendreSeries(coeffs)
-    if kind == "bessel":
-        return BesselSeries(coeffs)
+    for cls in (LegendreSeries, BesselSeries):
+        if cls.kind == kind:
+            return cls(coeffs)
     raise DomainError(f"unknown series kind {kind!r}")

@@ -213,6 +213,55 @@ class TestPlumbing:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("argv", ["eval-pn --n 2 --t nan",
+                                      "eval-pn --n 2 --t-min nan --t-steps 2",
+                                      "bauer-check --z 1 --t nan"],
+                             ids=["eval-pn", "eval-pn-grid", "bauer-check"])
+    def test_nan_t_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split(), "--out", "-")
+        assert (code, out) == (1, "")
+        assert err == "bandlim: legendre_all: every t must lie in [-1, 1]\n"
+
+    @pytest.mark.parametrize("argv", [
+        "bauer-check --z 1 --t 1 --tol",
+        "ortho-check --nmax 0 --tol",
+        "ortho-check --nmax 0 --diag-rel-tol",
+        "solve-ode --op {op} --in {h} --z 0 --residual-threshold",
+    ], ids=lambda argv: argv.split()[0] + argv.split()[-1])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-0.5"])
+    def test_gate_threshold_refused(self, capsys, tmp_path, argv, value):
+        h = write_series(tmp_path, "h.json", "bessel", [2.0])
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"op": [[1.0, 0.0]]}))
+        code, out, err = run(capsys, *argv.format(op=op, h=h).split(), value,
+                             "--out", "-")
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument {argv.split()[-1]}: threshold "
+                            f"must be finite and >= 0, got {value!r}\n")
+
+    def test_gate_threshold_keeps_float_errors(self, capsys):
+        code, out, err = run(capsys, "bauer-check", "--z", "1", "--t", "1",
+                             "--tol", "frog", "--out", "-")
+        assert (code, out) == (1, "")
+        assert err.endswith("error: argument --tol: invalid float value: 'frog'\n")
+        code, out, _ = run(capsys, "bauer-check", "--z", "1", "--t", "1",
+                           "--tol", "0", "--out", "-")
+        assert json.loads(out)["tol"] == 0.0
+
+    @pytest.mark.parametrize("argv, message", [
+        ("solve-ode --op {op} --in {h}", "z must be finite"),
+        ("forward --in {h}", "z must be finite"),
+        ("eval-jn --n 2", "spherical_j: argument must be finite"),
+    ], ids=["solve-ode", "forward", "eval-jn"])
+    def test_infinite_grid_end_prints_only_the_error(self, capsys, tmp_path,
+                                                     argv, message):
+        h = write_series(tmp_path, "h.json", "bessel", [2.0])
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"op": [[1.0, 0.0]]}))
+        code, out, err = run(capsys, *argv.format(op=op, h=h).split(),
+                             "--z-max", "inf", "--z-steps", "2", "--out", "-")
+        assert (code, out, err) == (1, "", f"bandlim: {message}\n")
+
     def test_io_error_exit(self, capsys):
         code, _, _ = run(capsys, "eval-jn", "--n", "0", "--z", "0",
                          "--out", "/nonexistent-dir/x.csv")

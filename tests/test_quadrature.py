@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bandlim import (ConvergenceError, EvaluationError, InvalidRuleError,
-                     LineIntegralParams, QuadratureRule, TransformConfig,
-                     forward_transform, gauss_legendre_rule,
+from bandlim import (ConvergenceError, DomainError, EvaluationError,
+                     InvalidRuleError, LineIntegralParams, QuadratureRule,
+                     TransformConfig, forward_transform, gauss_legendre_rule,
                      integrate_compact, integrate_oscillatory_line)
 from bandlim.quadrature import _accelerate, _line_integrals
 
@@ -84,6 +84,16 @@ class TestGaussLegendre:
             QuadratureRule(np.array([-0.5, 0.5]), np.array([1.0, -1.0]))
         with pytest.raises(InvalidRuleError):
             QuadratureRule(np.array([-0.5, 0.5]), np.array([1.0, 1.5]))
+        with pytest.raises(InvalidRuleError, match="1-d"):
+            QuadratureRule(np.zeros((2, 2)), np.ones((2, 2)))
+        with pytest.raises(InvalidRuleError, match="empty"):
+            QuadratureRule(np.array([]), np.array([]))
+        with pytest.raises(InvalidRuleError, match="inside"):
+            QuadratureRule(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(InvalidRuleError, match="nodes must be symmetric"):
+            QuadratureRule(np.array([-0.5, 0.4]), np.array([1.0, 1.0]))
+        with pytest.raises(InvalidRuleError, match="sum to 2"):
+            QuadratureRule(np.array([-0.5, 0.5]), np.array([0.9, 0.9]))
 
 
 class TestIntegrateCompact:
@@ -117,6 +127,9 @@ class TestIntegrateCompact:
     def test_forward_transform_nonfinite(self):
         with pytest.raises(EvaluationError):
             forward_transform(lambda t: np.where(t > 0, np.nan, 1.0), 1.0,
+                              TransformConfig())
+        with pytest.raises(DomainError, match="z must be finite"):
+            forward_transform(lambda t: t, np.array([0.0, math.inf]),
                               TransformConfig())
 
 

@@ -69,6 +69,10 @@ class TestLegendre:
             legendre_p(2, 1.5)
         with pytest.raises(DomainError):
             legendre_all(2, np.array([0.0, -1.01]))
+        with pytest.raises(DomainError):
+            legendre_p(2, math.nan)
+        with pytest.raises(DomainError):
+            legendre_all(2, np.array([0.0, math.nan]))
 
     def test_order_errors(self):
         with pytest.raises(InvalidOrderError):
@@ -157,6 +161,88 @@ class TestSphericalJ:
                     want = float(sign ** n * ref[n])
                     if abs(want) >= sys.float_info.min:
                         assert abs(got[n] - want) <= 1e-14 * abs(want)
+
+
+# The per-order j_n code the one-pass table replaced, kept as its reference:
+# the ascending series one order at a time, the Miller normalization with
+# its order-0 branch, and the parity rule one odd order at a time.
+def _ref_jn_series(nmax, z):
+    out = np.empty((nmax + 1,) + z.shape, dtype=float)
+    zsq = z * z
+    dfact = 1.0  # (2n+1)!!
+    zpow = np.ones_like(z)
+    for n in range(nmax + 1):
+        if n > 0:
+            dfact *= 2 * n + 1
+            zpow = zpow * z
+        term = np.ones_like(z)
+        total = np.ones_like(z)
+        for k in range(1, 14):
+            term = term * (-zsq) / (2.0 * k * (2 * n + 2 * k + 1))
+            total += term
+        out[n] = zpow / dfact * total
+    return out
+
+
+def _ref_jn_miller(nmax, z):
+    out = np.zeros((nmax + 1,) + z.shape, dtype=float)
+    jp = np.zeros_like(z)
+    jc = np.full_like(z, 1e-30)
+    for n in range(nmax + specfun._MILLER_EXTRA, -1, -1):
+        if n <= nmax:
+            out[n] = jc
+        jm = (2 * n + 1) / z * jc - jp
+        jp, jc = jc, jm
+        big = np.abs(jc) > specfun._RESCALE_LIMIT
+        if big.any():
+            jp = np.where(big, jp * 1e-250, jp)
+            jc = np.where(big, jc * 1e-250, jc)
+            out[:, big] *= 1e-250
+    j0 = np.sin(z) / z
+    j1 = j0 / z - np.cos(z) / z
+    use0 = np.abs(out[0]) >= np.abs(out[1]) if nmax >= 1 else np.ones(z.shape, bool)
+    if nmax >= 1:
+        ref = np.where(use0, out[0], out[1])
+        tgt = np.where(use0, j0, j1)
+    else:
+        ref, tgt = out[0], j0
+    scale = np.where(ref != 0.0, tgt / np.where(ref != 0.0, ref, 1.0), 0.0)
+    return out * scale
+
+
+def _ref_jn_table(nmax, z):
+    z = np.asarray(z, dtype=float)
+    flat = z.reshape(-1)
+    az = np.abs(flat)
+    out = np.empty((nmax + 1, flat.size), dtype=float)
+    small = az < specfun._SERIES_CUTOFF
+    up = (~small) & (az >= nmax + 2)
+    mid = (~small) & (~up)
+    out[:, small] = _ref_jn_series(nmax, az[small])
+    out[:, up] = specfun._jn_upward(nmax, az[up])
+    out[:, mid] = _ref_jn_miller(nmax, az[mid])
+    neg = flat < 0.0
+    for n in range(1, nmax + 1, 2):
+        out[n, neg] = -out[n, neg]
+    return out.reshape((nmax + 1,) + z.shape)
+
+
+class TestJnTableOracle:
+    """The one-pass table equals the per-order reference bit for bit, in
+    all three regimes, at both signs and at the regime boundaries."""
+
+    SPECIAL = [0.0, -0.0, 1e-10, -1e-10, 1e-300, 0.49999999999, -0.49999999999]
+    GRID = np.concatenate([np.linspace(-0.5, 0.5, 6001),
+                           np.linspace(-200.0, 200.0, 7001), SPECIAL])
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 3, 5, 8, 16, 31, 64, 100, 128])
+    def test_bits_match_reference(self, nmax):
+        got = specfun._jn_table(nmax, self.GRID)
+        assert got.tobytes() == _ref_jn_table(nmax, self.GRID).tobytes()
+        for z in self.SPECIAL + [0.5, -0.75, 3.0, -150.0]:
+            got = specfun._jn_table(nmax, z)
+            want = _ref_jn_table(nmax, z)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestPoisson:

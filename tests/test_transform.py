@@ -5,11 +5,11 @@ import pytest
 
 import bandlim.transform
 from bandlim import (PAPER_QUARTER, BesselSeries, ConvergenceError,
-                     DifferentialOperator, DomainError, LegendreSeries,
-                     LineIntegralParams, RuleTooSmallError, TransformConfig,
-                     apply_operator, bauer_partial_sum, bessel_projection,
-                     calibrate_normalization, coeff_bar, coeff_unbar,
-                     forward_transform, gauss_legendre_rule,
+                     DifferentialOperator, DomainError, InvalidRuleError,
+                     LegendreSeries, LineIntegralParams, RuleTooSmallError,
+                     TransformConfig, apply_operator, bauer_partial_sum,
+                     bessel_projection, calibrate_normalization, coeff_bar,
+                     coeff_unbar, forward_transform, gauss_legendre_rule,
                      integrate_oscillatory_line, inverse_transform,
                      legendre_projection, orthogonality_matrix_j, roundtrip,
                      series_from_json, series_to_json, solve, spherical_j)
@@ -131,6 +131,8 @@ class TestCalibration:
     def test_bad_normalization(self):
         with pytest.raises(DomainError):
             TransformConfig(normalization="whatever")
+        with pytest.raises(InvalidRuleError):
+            TransformConfig(compact_rule=[-0.5, 0.5])
 
 
 class TestProjections:
@@ -175,6 +177,8 @@ class TestBauer:
     def test_domain(self):
         with pytest.raises(DomainError):
             bauer_partial_sum(1.0, 1.5, 10)
+        with pytest.raises(DomainError):
+            bauer_partial_sum(1.0, math.nan, 10)
 
 
 class TestOrthogonality:
@@ -221,6 +225,8 @@ class TestJson:
                     {"kind": "legendre", "coeffs": [[1.0]]}):
             with pytest.raises(DomainError):
                 series_from_json(doc)
+        with pytest.raises(DomainError, match="not a series"):
+            series_to_json([1.0, 2.0])
 
 
 class TestGridCalls:
