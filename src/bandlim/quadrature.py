@@ -4,17 +4,17 @@ The line integrals here are of the form  int_-inf^inf g(y) e^{-iyt} dy
 with an envelope g that decays only like 1/|y|, so they converge
 conditionally and plain truncation stalls.  The engine integrates a core
 window exactly, splits each tail into half-period segments of length pi,
-and accelerates the segment partial sums.  With length-pi segments the two
-asymptotic oscillation modes of a spherical-Bessel-type envelope,
-e^{iy(1-t)} and e^{-iy(1+t)}, share the single per-segment ratio
--e^{-i pi t} on the right tail (and its conjugate on the left), which a
-known-ratio deflation removes; a Levin u-transformation mops up whatever
-converges only algebraically (e.g. 1/y^2 product tails).
+and accelerates the segment partial sums; each convergence check
+integrates its new segments of both tails with one envelope call.  With
+length-pi segments the two modes of a spherical-Bessel-type envelope,
+e^{iy(1-t)} and e^{-iy(1+t)}, share the per-segment ratio -e^{-i pi t} on
+the right tail (its conjugate on the left), which a known-ratio deflation
+removes; a Levin u-transformation mops up algebraic tails (1/y^2 products).
 
 The slow beat mode at frequency 1-|t| carries its information only at
-|y| of order 1/(1-|t|), so the core half-width is scaled up like
-1/(1-|t|) before any acceleration is attempted; no resummation can
-recover that mode from short-range samples.
+|y| of order 1/(1-|t|), so the core half-width scales like 1/(1-|t|)
+before any acceleration; no resummation recovers it from short-range
+samples.  The nodes depend on |t| alone, so t and -t can share a stack.
 """
 
 import functools
@@ -170,11 +170,19 @@ def _seg_rule():
 
 
 def _segment_integral(fn, a, b):
-    """int_a^b fn by the segment rule, row by row; fn maps the nodes to a
-    stack of shape (k, m) (see _line_integrals)."""
+    """int_a^b fn by the segment rule, row by row, for scalar ends; fn maps
+    the nodes to a stack of shape (k, m) (see _line_integrals)."""
+    return _segment_integrals(fn, np.asarray(a), np.asarray(b))
+
+
+def _segment_integrals(fn, a, b):
+    """int fn by the segment rule on every segment [a, b] of the end arrays
+    a, b, in one call of fn; the result has shape (k,) + a.shape."""
     rule = _seg_rule()
-    x = 0.5 * (b - a) * rule.nodes + 0.5 * (a + b)
-    return 0.5 * (b - a) * np.sum(rule.weights * fn(x), axis=-1)
+    half = 0.5 * (b - a)
+    x = half[..., None] * rule.nodes + 0.5 * (a + b)[..., None]
+    vals = fn(x.reshape(-1)).reshape((-1,) + x.shape)
+    return half * np.sum(rule.weights * vals, axis=-1)
 
 
 @functools.cache
@@ -265,26 +273,31 @@ def _accelerate(partials, ratio, k0):
 
 
 def _line_integrals(envelope, t, params, labels=None):
-    """Stacked line integrals int envelope(y)[i] e^{-iyt} dy, i = 0..k-1.
+    """Stacked line integrals int envelope(y)[i] e^{-iy t_i} dy, i = 0..k-1.
 
-    envelope maps nodes y of shape (m,) to a stack of shape (k, m) whose
-    rows decay like 1/|y|; every row shares t and the nodes.  The right and
-    left tails of row i are rows i and k + i of one stack of partial sums.
-    Each row keeps its own history and is frozen at the first check where
-    successive accelerated values agree to params.tol relatively, so a row
-    gets exactly the value a one-row call on its envelope values gets.
-    Returns the k values.  Raises ConvergenceError naming t, and labels[i]
-    for each row i that did not converge, once max_segments is exhausted;
-    it carries the last two values of the first such row.
+    envelope maps nodes y of shape (m,) to a stack (k, m), or (1, m) shared
+    by every row, of envelopes that decay like 1/|y|.  t is a scalar, or a
+    1-d array of k values t_i that share the one |t| on which the nodes
+    depend.  The right and left tails of row i are rows i and k + i of one
+    stack of partial sums; each check integrates the new segments of both
+    tails with one envelope call.  A row is frozen at the first check where
+    its successive accelerated values agree to params.tol relatively, so it
+    gets exactly the value of a one-row call on its envelope values and t_i.
+    Returns the k values.  Raises ConvergenceError naming the t_i of the
+    first row that did not converge, and labels[i] for each such row i,
+    once max_segments is exhausted, with that first row's last two values.
     """
-    t = float(t)
-    if not math.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    abs_t = float(np.max(np.abs(t)))
+    if not math.isfinite(abs_t):
         raise EvaluationError("t must be finite")
+    if t.ndim > 1 or np.any(np.abs(t) != abs_t):
+        raise EvaluationError("t must be a scalar or a 1-d array sharing one |t|")
     L = _SEGMENT
-    fn = lambda y: envelope(y) * np.exp(-1j * y * t)
+    fn = lambda y: envelope(y) * np.exp(-1j * y * t[..., None])
 
     # the beat mode at frequency |1 - |t|| needs samples out to ~1/(1-|t|)
-    edge_dist = abs(1.0 - abs(t))
+    edge_dist = abs(1.0 - abs_t)
     halfwidth = max(_MIN_HALFWIDTH,
                     _EDGE_SCALE / max(edge_dist, _MIN_EDGE_DIST))
     halfwidth = L * math.ceil(halfwidth / L)
@@ -295,7 +308,8 @@ def _line_integrals(envelope, t, params, labels=None):
     k = core.size
 
     # with L = pi both Bessel-tail modes share one per-segment ratio per tail
-    ratio = np.repeat([-np.exp(-1j * math.pi * t), -np.exp(1j * math.pi * t)], k)[:, None]
+    row_t = np.broadcast_to(t, (k,))
+    ratio = -np.exp(1j * math.pi * np.concatenate([-row_t, row_t]))[:, None]
     k0 = halfwidth / L
 
     terms = []  # per segment: every row's right tail term, then its left
@@ -306,11 +320,11 @@ def _line_integrals(envelope, t, params, labels=None):
     batch = _FIRST_CHECK
     while nseg < params.max_segments:
         target = min(nseg + batch, params.max_segments)
-        while nseg < target:
-            a = halfwidth + nseg * L
-            terms.append(np.concatenate([_segment_integral(fn, a, a + L),
-                                         _segment_integral(fn, -a - L, -a)]))
-            nseg += 1
+        a = halfwidth + np.arange(nseg, target) * L  # right segments' lower ends
+        seg = _segment_integrals(fn, np.stack([a, -a - L], axis=-1),
+                                 np.stack([a + L, -a], axis=-1))
+        terms.extend(seg.transpose(1, 2, 0).reshape(target - nseg, 2 * k))
+        nseg = target
         batch = _CHECK_EVERY
         n = pending.size
         # fancy indexing copies: the accelerator gets C-contiguous rows
@@ -329,8 +343,8 @@ def _line_integrals(envelope, t, params, labels=None):
         history.append(est)
     named = "" if labels is None else " for " + ", ".join(labels[i] for i in pending)
     raise ConvergenceError(
-        f"line integral at t={t!r} did not converge to tol={params.tol} "
-        f"within {params.max_segments} segments{named}",
+        f"line integral at t={float(row_t[pending[0]])!r} did not converge to "
+        f"tol={params.tol} within {params.max_segments} segments{named}",
         last_values=tuple(complex(h[0]) for h in history[-2:]),
     )
 
@@ -348,4 +362,4 @@ def integrate_oscillatory_line(envelope, t, params=None):
     if params is None:
         params = LineIntegralParams()
     return complex(_line_integrals(lambda y: _eval_integrand(envelope, y)[None],
-                                   t, params)[0])
+                                   float(t), params)[0])

@@ -133,19 +133,35 @@ def forward_transform(f, z, config):
 def inverse_transform(g, t, config):
     """f(t) = (1/C) int_-inf^inf g(y) e^{-iyt} dy for a scalar or an array t
     (the result has its shape); every |t| < 1 strictly, which is checked
-    before any line integral runs."""
+    before any line integral runs.  The points sharing one |t| are rows of
+    one stacked integral; a grid raises the error of its first failing point."""
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) >= 1.0):
+    if not np.all(np.abs(t) < 1.0):  # NaN fails too
         raise DomainError(
             f"inverse_transform: |t| = {np.max(np.abs(t))} not inside (-1, 1)")
+    groups = {}  # |t| -> {t: its flat indices}, in order of first appearance
+    for i, s in enumerate(t.ravel().tolist()):
+        groups.setdefault(abs(s), {}).setdefault(s, []).append(i)
     values = np.empty(t.shape, dtype=complex)
-    for i, s in enumerate(t.flat):
+    pending = np.ones(t.size, dtype=bool)
+    for group in groups.values():
         try:
-            raw = integrate_oscillatory_line(g, s, config.line_params)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"inverse_transform at grid index {i}: {exc}",
-                                   last_values=exc.last_values) from exc
-        values.flat[i] = raw / config.divisor()
+            raw = _line_integrals(lambda y: _eval_integrand(g, y)[None],
+                                  list(group), config.line_params)
+        except ArithmeticError as stack_exc:  # ConvergenceError, EvaluationError, g's own
+            for i in np.flatnonzero(pending):  # point by point, from this stack's first
+                try:
+                    if len(group) == 1:  # the stack failed as its one point alone does
+                        raise stack_exc
+                    integrate_oscillatory_line(g, t.flat[i], config.line_params)
+                except ConvergenceError as exc:
+                    raise ConvergenceError(f"inverse_transform at grid index {i}: {exc}",
+                                           last_values=exc.last_values) from exc
+                config.divisor()  # after each point, as a point-by-point inverse does
+            raise
+        for r, p in zip(raw, group.values()):
+            values.flat[p] = complex(r) / config.divisor()  # Python division: exact bits
+            pending[p] = False
     return values[()]  # 0-d: a scalar
 
 

@@ -4,11 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import bandlim.quadrature
 from bandlim import (ConvergenceError, DomainError, EvaluationError,
                      InvalidRuleError, LineIntegralParams, QuadratureRule,
                      TransformConfig, forward_transform, gauss_legendre_rule,
                      integrate_compact, integrate_oscillatory_line)
-from bandlim.quadrature import _accelerate, _line_integrals
+from bandlim.quadrature import (_CHECK_EVERY, _CORE_CHUNK_PERIODS, _EDGE_SCALE,
+                                _FIRST_CHECK, _MIN_EDGE_DIST, _MIN_HALFWIDTH,
+                                _SEGMENT, _UNC_FACTOR, _accelerate,
+                                _eval_integrand, _line_integrals, _seg_rule)
+from bandlim.specfun import _jn_table
+from bandlim.transform import BesselSeries
 
 # callables that do not map an array to an array of the same shape
 NOT_VECTORIZED = {
@@ -374,3 +380,162 @@ class TestStackedLine:
         with pytest.raises(ConvergenceError) as info:
             integrate_oscillatory_line(j0_env, 0.97, params)
         assert all(type(v) is complex for v in info.value.last_values)
+
+
+# The line engine before its tails were batched, kept as its reference: one
+# scalar t for every row, and one envelope call per core chunk and per tail
+# segment and side.
+def _ref_segment_integral(fn, a, b):
+    rule = _seg_rule()
+    x = 0.5 * (b - a) * rule.nodes + 0.5 * (a + b)
+    return 0.5 * (b - a) * np.sum(rule.weights * fn(x), axis=-1)
+
+
+def _ref_line_integrals(envelope, t, params, labels=None):
+    t = float(t)
+    L = _SEGMENT
+    fn = lambda y: envelope(y) * np.exp(-1j * y * t)
+    edge_dist = abs(1.0 - abs(t))
+    halfwidth = max(_MIN_HALFWIDTH, _EDGE_SCALE / max(edge_dist, _MIN_EDGE_DIST))
+    halfwidth = L * math.ceil(halfwidth / L)
+    nchunks = max(2, math.ceil(2.0 * halfwidth / (_CORE_CHUNK_PERIODS * L)))
+    edges = np.linspace(-halfwidth, halfwidth, nchunks + 1)
+    core = sum(_ref_segment_integral(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
+    k = core.size
+    ratio = np.repeat([-np.exp(-1j * math.pi * t), -np.exp(1j * math.pi * t)], k)[:, None]
+    k0 = halfwidth / L
+    terms = []
+    nseg = 0
+    result = np.empty(k, dtype=complex)
+    pending = np.arange(k)
+    history = []
+    batch = _FIRST_CHECK
+    while nseg < params.max_segments:
+        target = min(nseg + batch, params.max_segments)
+        while nseg < target:
+            a = halfwidth + nseg * L
+            terms.append(np.concatenate([_ref_segment_integral(fn, a, a + L),
+                                         _ref_segment_integral(fn, -a - L, -a)]))
+            nseg += 1
+        batch = _CHECK_EVERY
+        n = pending.size
+        rows = np.concatenate([pending, pending + k])
+        tails, spread = _accelerate(np.cumsum(terms, axis=0).T[rows], ratio[rows], k0)
+        est = core[pending] + tails[:n] + tails[n:]
+        if history:
+            scale = params.tol * np.maximum(1.0, np.abs(est))
+            done = ((np.abs(est - history[-1]) <= scale)
+                    & (spread[:n] + spread[n:] <= _UNC_FACTOR * scale))
+            result[pending[done]] = est[done]
+            pending, est = pending[~done], est[~done]
+            if not pending.size:
+                return result
+            history = [history[-1][~done]]
+        history.append(est)
+    named = "" if labels is None else " for " + ", ".join(labels[i] for i in pending)
+    raise ConvergenceError(
+        f"line integral at t={t!r} did not converge to tol={params.tol} "
+        f"within {params.max_segments} segments{named}",
+        last_values=tuple(complex(h[0]) for h in history[-2:]),
+    )
+
+
+def outcome(engine, *args):
+    """engine(*args) as the bytes of its values, or its error's type, text
+    and last values."""
+    try:
+        return np.asarray(engine(*args)).tobytes()
+    except ConvergenceError as exc:
+        return type(exc), str(exc), exc.last_values
+
+
+def gram_stack(nmax):
+    iu, ju = np.triu_indices(nmax + 1)
+
+    def env(y):
+        table = _jn_table(nmax, y)
+        return table[iu] * table[ju]
+    return env
+
+
+def projection_stack(g, nmax):
+    def env(y):
+        table = _jn_table(nmax, y)
+        return np.concatenate([_eval_integrand(g, y) * table, table ** 2])
+    return env
+
+
+G3 = BesselSeries([0.5 + 0.1j, -0.3 + 0.7j, 0.9 - 0.2j])
+EDGE_T = [0.0, 0.3, -0.3, 0.9, -0.9, 0.99, -0.99, 1 - 1e-3, -(1 - 1e-3)]
+
+
+class TestBatchedTails:
+    """Both tails of every check come from one envelope call, and every
+    value and error equals the per-segment reference bit for bit."""
+
+    @pytest.mark.parametrize("max_segments", [12, 13, 18, 400])
+    def test_stacks_match_reference(self, max_segments):
+        params = LineIntegralParams(max_segments=max_segments)
+        gram_labels = [f"G[{n}, {m}]" for n, m in zip(*np.triu_indices(7))]
+        proj_labels = [f"{row}_{n}" for row in "cK" for n in range(6)]
+        for env, labels in ((gram_stack(6), gram_labels),
+                            (projection_stack(G3, 5), proj_labels)):
+            want = outcome(_ref_line_integrals, env, 0.0, params, labels)
+            assert outcome(_line_integrals, env, 0.0, params, labels) == want
+
+    @pytest.mark.parametrize("max_segments", [12, 13, 18, 400])
+    @pytest.mark.parametrize("t", EDGE_T)
+    def test_one_row_matches_reference(self, t, max_segments):
+        params = LineIntegralParams(max_segments=max_segments)
+        env = lambda y: _eval_integrand(G3, y)[None]
+        want = outcome(_ref_line_integrals, env, t, params)
+        assert outcome(_line_integrals, env, t, params) == want
+        assert outcome(lambda: [integrate_oscillatory_line(G3, t, params)]) == want
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.9, 0.99])
+    def test_rows_of_plus_minus_t_match_reference(self, t):
+        env = lambda y: _eval_integrand(G3, y)[None]
+        params = LineIntegralParams()
+        got = _line_integrals(env, np.array([t, -t, t]), params)
+        want = [_ref_line_integrals(env, s, params)[0] for s in (t, -t, t)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_first_failing_row_is_named(self):
+        # at max_segments 13 the point 0.9 converges and -0.9 does not
+        params = LineIntegralParams(max_segments=13)
+        g = BesselSeries([0.3, 1j, 0.2, -0.5j])
+        env = lambda y: _eval_integrand(g, y)[None]
+        with pytest.raises(ConvergenceError) as info:
+            _line_integrals(env, np.array([0.9, -0.9]), params)
+        with pytest.raises(ConvergenceError) as alone:
+            _line_integrals(env, -0.9, params)
+        assert str(info.value) == str(alone.value)
+        assert info.value.last_values == alone.value.last_values
+        _line_integrals(env, 0.9, params)
+
+    def test_rows_must_share_abs_t(self):
+        env = lambda y: _eval_integrand(G3, y)[None]
+        for t in (np.array([0.3, 0.4]), np.array([[0.3, -0.3]]), np.array([0.3, math.nan])):
+            with pytest.raises(EvaluationError):
+                _line_integrals(env, t, LineIntegralParams())
+
+    def test_scalar_t_only(self):
+        with pytest.raises(TypeError):
+            integrate_oscillatory_line(j0_env, np.array([0.3, -0.3]))
+
+    @pytest.mark.parametrize("t", [np.float64(0.3), np.array([0.3, -0.3])])
+    def test_one_envelope_call_per_check(self, t, monkeypatch):
+        # t = 0.3: core half-width 10 pi, so 5 chunks of 4 pi
+        checks = []
+        accelerate = bandlim.quadrature._accelerate
+        monkeypatch.setattr(bandlim.quadrature, "_accelerate",
+                            lambda *args: checks.append(1) or accelerate(*args))
+        sizes = []
+
+        def env(y):
+            sizes.append(y.size)
+            return j0_env(y)[None]
+        _line_integrals(env, t, LineIntegralParams())
+        tails = [2 * _FIRST_CHECK] + [2 * _CHECK_EVERY] * (len(checks) - 1)
+        assert len(checks) >= 2
+        assert sizes == [32] * 5 + [32 * n for n in tails]

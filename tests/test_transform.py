@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bandlim.quadrature
 import bandlim.transform
 from bandlim import (PAPER_QUARTER, BesselSeries, ConvergenceError,
                      DifferentialOperator, DomainError, InvalidRuleError,
@@ -278,23 +281,22 @@ class TestGridCalls:
             assert same_bits(roundtrip(g, z, cfg), pointwise(at.__getitem__, z))
 
     def test_roundtrip_runs_one_inverse_leg(self, config, monkeypatch):
+        # the 32 nodes of the symmetric rule are 16 stacks of a t and its -t
         config.divisor()
-        calls = []
-        line = bandlim.transform.integrate_oscillatory_line
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return line(*args, **kwargs)
-        monkeypatch.setattr(bandlim.transform, "integrate_oscillatory_line", counting)
+        calls = count_engine_calls(monkeypatch)
         roundtrip(BesselSeries([2.0]), np.array([0.0, 2.0, 7.0]), config)
-        assert len(calls) == len(config.compact_rule) == 32
+        assert len(calls) == len(config.compact_rule) // 2 == 16
+        assert sum(np.size(t) for t in calls) == len(config.compact_rule) == 32
 
-    def test_inverse_checks_every_t_first(self, config, monkeypatch):
-        calls = []
-        monkeypatch.setattr(bandlim.transform, "integrate_oscillatory_line",
-                            lambda *args, **kwargs: calls.append(args))
-        with pytest.raises(DomainError):
-            inverse_transform(BesselSeries([2.0]), [0.2, 1.0], config)
+    def test_inverse_checks_every_t_first(self, monkeypatch):
+        # a fresh config: not even the divisor C* is integrated
+        calls = count_engine_calls(monkeypatch)
+        monkeypatch.setattr(bandlim.quadrature, "_line_integrals",
+                            bandlim.transform._line_integrals)
+        for t in ([0.2, 1.0], [0.1, 0.2, math.nan], math.nan, [0.2, math.inf],
+                  [-math.inf, 0.2]):
+            with pytest.raises(DomainError):
+                inverse_transform(BesselSeries([2.0]), t, TransformConfig())
         assert calls == []
 
 
@@ -370,3 +372,102 @@ class TestStackedIntegrals:
         assert "grid index 2" in str(info.value)
         assert f"t={t[2]!r}" in str(info.value)
         assert info.value.last_values == alone.value.last_values
+
+
+def pointwise_inverse(g, t, config):
+    """The inverse as one line integral per point in flat order, each
+    divided by the divisor in Python: the loop the stacks replace."""
+    t = np.asarray(t, dtype=float)
+    values = np.empty(t.shape, dtype=complex)
+    for i, s in enumerate(t.flat):
+        try:
+            raw = integrate_oscillatory_line(g, s, config.line_params)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"inverse_transform at grid index {i}: {exc}",
+                                   last_values=exc.last_values) from exc
+        values.flat[i] = raw / config.divisor()
+    return values[()]
+
+
+def inverse_outcome(inverse, g, t, config):
+    try:
+        return np.asarray(inverse(g, t, config)).tobytes()
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "last_values", None)
+
+
+G3 = BesselSeries([0.5 + 0.1j, -0.3 + 0.7j, 0.9 - 0.2j])
+G4 = BesselSeries([0.3, 1j, 0.2, -0.5j])
+
+
+class FailingCalibration(TransformConfig):
+    def divisor(self):
+        raise ConvergenceError("calibration did not converge")
+
+
+class TestInverseStacks:
+    """inverse_transform integrates every point sharing one |t| as a row of
+    one stack, and equals the point-by-point loop bit for bit, errors
+    included."""
+
+    GRIDS = {
+        "rule32": gauss_legendre_rule(32).nodes,
+        "linspace41": np.linspace(-0.99, 0.99, 41),
+        "zero": np.array(0.0),
+        "signed-zeros": np.array([0.0, -0.0, 0.5, -0.0]),
+        "repeated": np.array([0.4, -0.4, 0.4, 0.1, 0.4]),
+        "2d": np.array([[0.3, -0.7, 0.0], [-0.3, 0.7, 0.3]]),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_grid_equals_pointwise(self, config, name):
+        t = self.GRIDS[name]
+        got = inverse_transform(G3, t, config)
+        assert same_bits(np.asarray(got), np.asarray(pointwise_inverse(G3, t, config)))
+
+    def test_one_engine_call_per_abs_t(self, config, monkeypatch):
+        config.divisor()
+        calls = count_engine_calls(monkeypatch)
+        inverse_transform(G3, self.GRIDS["repeated"], config)
+        assert [np.asarray(t).tolist() for t in calls] == [[0.4, -0.4], [0.1]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.lists(st.sampled_from([0.0, -0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9,
+                                       0.97, -0.97]), min_size=1, max_size=6),
+           g=st.sampled_from([G3, G4]),
+           params=st.sampled_from([(1e-9, 13), (1e-10, 18), (1e-9, 400)]),
+           config_type=st.sampled_from([TransformConfig, FailingCalibration]))
+    # the |t| = 0.9 stack fails at -0.9 after 0.9 converged: first the
+    # failing divisor must surface, then grid index 1 of a later stack
+    @example(t=[0.9, -0.9], g=G4, params=(1e-9, 13), config_type=FailingCalibration)
+    @example(t=[0.9, 0.97, -0.9], g=G4, params=(1e-9, 13), config_type=TransformConfig)
+    def test_grid_errors_equal_pointwise(self, t, g, params, config_type):
+        # a fresh config each: both compute the divisor where they need it
+        params = LineIntegralParams(*params)
+        assert (inverse_outcome(inverse_transform, g, t, config_type(line_params=params))
+                == inverse_outcome(pointwise_inverse, g, t, config_type(line_params=params)))
+
+    @pytest.mark.parametrize("t", [[-0.97, 0.97], [-0.97, -0.95, 0.97]])
+    def test_stack_evaluation_errors_equal_pointwise(self, t):
+        # alone, -0.97 converges on nodes |y| < 770 and 0.97 needs nodes beyond,
+        # so their stack meets the NaN; -0.95 fails to converge before 0.97 is
+        # reached, so that grid raises grid index 1 as the loop does
+        g = lambda y: np.where(np.abs(y) < 770.0, G3(y), np.nan)
+        params = LineIntegralParams(1e-10, 36)
+        got = inverse_outcome(inverse_transform, g, t, TransformConfig(line_params=params))
+        assert got[0] == ("EvaluationError" if len(t) == 2 else "ConvergenceError")
+        assert got == inverse_outcome(pointwise_inverse, g, t,
+                                      TransformConfig(line_params=params))
+
+    def test_one_row_stack_error_is_not_redone(self, monkeypatch):
+        config = TransformConfig(line_params=LineIntegralParams(1e-9, 13))
+        config.divisor()
+        alone = []
+        monkeypatch.setattr(bandlim.transform, "integrate_oscillatory_line",
+                            lambda *args: alone.append(args))
+        t = [0.3, 0.97, -0.3]  # the 0.97 stack has one row and fails
+        got = inverse_outcome(inverse_transform, G3, t, config)
+        assert alone == []
+        assert "grid index 1" in got[1]
+        monkeypatch.undo()
+        assert got == inverse_outcome(pointwise_inverse, G3, t, config)
