@@ -41,8 +41,10 @@ class DifferentialOperator:
         return self.coeffs.size - 1
 
     def symbol(self, t):
-        """F(it) = sum_k a_k (it)^k, vectorized over t."""
+        """F(it) = sum_k a_k (it)^k, vectorized over finite t."""
         t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise DomainError("operator symbol: t must be finite")
         it = 1j * t
         out = np.full(t.shape, self.coeffs[0], dtype=complex)
         power = np.ones_like(it)

@@ -272,8 +272,8 @@ def _accelerate(partials, ratio, k0):
     return np.array(values)[best, rows], spreads[best, rows]
 
 
-def _line_integrals(envelope, t, params, labels=None):
-    """Stacked line integrals int envelope(y)[i] e^{-iy t_i} dy, i = 0..k-1.
+def _line_rows(envelope, t, params, labels=None):
+    """Yields (i, int envelope(y)[i] e^{-iy t_i} dy) the moment row i converges.
 
     envelope maps nodes y of shape (m,) to a stack (k, m), or (1, m) shared
     by every row, of envelopes that decay like 1/|y|.  t is a scalar, or a
@@ -282,10 +282,10 @@ def _line_integrals(envelope, t, params, labels=None):
     stack of partial sums; each check integrates the new segments of both
     tails with one envelope call.  A row is frozen at the first check where
     its successive accelerated values agree to params.tol relatively, so it
-    gets exactly the value of a one-row call on its envelope values and t_i.
-    Returns the k values.  Raises ConvergenceError naming the t_i of the
-    first row that did not converge, and labels[i] for each such row i,
-    once max_segments is exhausted, with that first row's last two values.
+    gets exactly the value and history of a one-row call on its envelope
+    values and t_i, and the first row still open fails as that call does:
+    ConvergenceError naming its t_i, and labels[i] for each open row i, once
+    max_segments is exhausted, with its last two values.
     """
     t = np.asarray(t, dtype=float)
     abs_t = float(np.max(np.abs(t)))
@@ -314,7 +314,6 @@ def _line_integrals(envelope, t, params, labels=None):
 
     terms = []  # per segment: every row's right tail term, then its left
     nseg = 0
-    result = np.empty(k, dtype=complex)
     pending = np.arange(k)  # rows not yet converged
     history = []  # the pending rows' values at the last one or two checks
     batch = _FIRST_CHECK
@@ -335,18 +334,22 @@ def _line_integrals(envelope, t, params, labels=None):
             scale = params.tol * np.maximum(1.0, np.abs(est))
             done = ((np.abs(est - history[-1]) <= scale)
                     & (spread[:n] + spread[n:] <= _UNC_FACTOR * scale))
-            result[pending[done]] = est[done]
+            yield from zip(pending[done].tolist(), est[done])
             pending, est = pending[~done], est[~done]
             if not pending.size:
-                return result
+                return
             history = [history[-1][~done]]
         history.append(est)
     named = "" if labels is None else " for " + ", ".join(labels[i] for i in pending)
     raise ConvergenceError(
         f"line integral at t={float(row_t[pending[0]])!r} did not converge to "
         f"tol={params.tol} within {params.max_segments} segments{named}",
-        last_values=tuple(complex(h[0]) for h in history[-2:]),
-    )
+        last_values=tuple(complex(h[0]) for h in history[-2:]))
+
+
+def _line_integrals(envelope, t, params, labels=None):
+    """The k values of _line_rows as one array, in row order."""
+    return np.array([v for _, v in sorted(_line_rows(envelope, t, params, labels))])
 
 
 def integrate_oscillatory_line(envelope, t, params=None):

@@ -160,8 +160,8 @@ def half_integer_bessel_via_poisson(n, z, rule):
     """
     n = _check_order(n)
     z = float(z)
-    if z <= 0.0:
-        raise DomainError("half_integer_bessel_via_poisson: z must be positive")
+    if not (math.isfinite(z) and z > 0.0):
+        raise DomainError("half_integer_bessel_via_poisson: z must be positive and finite")
     nu = n + 0.5
     # map the rule from [-1,1] to [0, pi]
     theta = 0.5 * math.pi * (np.asarray(rule.nodes) + 1.0)

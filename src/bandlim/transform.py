@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidRuleError, RuleTooSmallError
 from .quadrature import (LineIntegralParams, QuadratureRule, _eval_integrand,
-                         _line_integrals, gauss_legendre_rule,
+                         _line_integrals, _line_rows, gauss_legendre_rule,
                          integrate_oscillatory_line)
 from .specfun import _check_order, _jn_table, legendre_all
 
@@ -101,6 +101,8 @@ class TransformConfig:
             raise DomainError(f"unknown normalization {normalization!r}")
         self.normalization = normalization
         self.line_params = line_params if line_params is not None else LineIntegralParams()
+        if not isinstance(self.line_params, LineIntegralParams):
+            raise InvalidRuleError("line_params must be a LineIntegralParams")
         self.compact_rule = (compact_rule if compact_rule is not None
                              else gauss_legendre_rule(_DEFAULT_COMPACT_POINTS))
         if not isinstance(self.compact_rule, QuadratureRule):
@@ -133,35 +135,32 @@ def forward_transform(f, z, config):
 def inverse_transform(g, t, config):
     """f(t) = (1/C) int_-inf^inf g(y) e^{-iyt} dy for a scalar or an array t
     (the result has its shape); every |t| < 1 strictly, which is checked
-    before any line integral runs.  The points sharing one |t| are rows of
-    one stacked integral; a grid raises the error of its first failing point."""
+    before any line integral runs.  A t and its -t are streamed rows of one
+    stack, and a grid raises the error its first failing point raises alone."""
     t = np.asarray(t, dtype=float)
     if not np.all(np.abs(t) < 1.0):  # NaN fails too
         raise DomainError(
             f"inverse_transform: |t| = {np.max(np.abs(t))} not inside (-1, 1)")
-    groups = {}  # |t| -> {t: its flat indices}, in order of first appearance
-    for i, s in enumerate(t.ravel().tolist()):
-        groups.setdefault(abs(s), {}).setdefault(s, []).append(i)
+    points = t.ravel().tolist()
+    grid = set(points)
+    outcomes = {}  # t -> its integral, or the error its stack gave it
     values = np.empty(t.shape, dtype=complex)
-    pending = np.ones(t.size, dtype=bool)
-    for group in groups.values():
-        try:
-            raw = _line_integrals(lambda y: _eval_integrand(g, y)[None],
-                                  list(group), config.line_params)
-        except ArithmeticError as stack_exc:  # ConvergenceError, EvaluationError, g's own
-            for i in np.flatnonzero(pending):  # point by point, from this stack's first
-                try:
-                    if len(group) == 1:  # the stack failed as its one point alone does
-                        raise stack_exc
-                    integrate_oscillatory_line(g, t.flat[i], config.line_params)
-                except ConvergenceError as exc:
-                    raise ConvergenceError(f"inverse_transform at grid index {i}: {exc}",
-                                           last_values=exc.last_values) from exc
-                config.divisor()  # after each point, as a point-by-point inverse does
-            raise
-        for r, p in zip(raw, group.values()):
-            values.flat[p] = complex(r) / config.divisor()  # Python division: exact bits
-            pending[p] = False
+    for i, s in enumerate(points):
+        if s not in outcomes:
+            stack = [s, -s] if s and -s in grid else [s]  # 0.0 and -0.0: one row
+            try:
+                for row, raw in _line_rows(lambda y: _eval_integrand(g, y)[None],
+                                           stack, config.line_params):
+                    outcomes[stack[row]] = raw
+            except ArithmeticError as exc:  # ConvergenceError, EvaluationError, g's own
+                outcomes.update({u: exc for u in stack if u not in outcomes})
+        raw = outcomes[s]
+        if isinstance(raw, ConvergenceError):
+            raise ConvergenceError(f"inverse_transform at grid index {i}: {raw}",
+                                   last_values=raw.last_values) from raw
+        if isinstance(raw, ArithmeticError):
+            raise raw
+        values.flat[i] = complex(raw) / config.divisor()  # Python division: exact bits
     return values[()]  # 0-d: a scalar
 
 

@@ -43,6 +43,14 @@ class TestSymbol:
         for t, want in [(0.0, 1.0), (0.5, 1.25), (1.0, 2.0)]:
             assert symbol_eval(op, t) == pytest.approx(want, abs=1e-15)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_refused(self, t):
+        op = DifferentialOperator([1.0, 0.0, -1.0])
+        with pytest.raises(DomainError, match="t must be finite"):
+            symbol_eval(op, t)
+        with pytest.raises(DomainError, match="t must be finite"):
+            op.symbol(np.array([0.5, t]))
+
 
 class TestApplyOperator:
     def test_identity_matches_forward(self, config):

@@ -275,3 +275,8 @@ class TestPoisson:
         rule = gauss_legendre_rule(16)
         with pytest.raises(DomainError):
             half_integer_bessel_via_poisson(0, -1.0, rule)
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan])
+    def test_non_finite_z_refused(self, z):
+        with pytest.raises(DomainError, match="positive and finite"):
+            half_integer_bessel_via_poisson(2, z, gauss_legendre_rule(16))

@@ -137,6 +137,11 @@ class TestCalibration:
         with pytest.raises(InvalidRuleError):
             TransformConfig(compact_rule=[-0.5, 0.5])
 
+    @pytest.mark.parametrize("params", ["1e-9", (1e-9, 400), 1e-9])
+    def test_line_params_must_be_line_integral_params(self, params):
+        with pytest.raises(InvalidRuleError, match="LineIntegralParams"):
+            TransformConfig(line_params=params)
+
 
 class TestProjections:
     def test_legendre_projection_of_mode(self):
@@ -291,8 +296,8 @@ class TestGridCalls:
     def test_inverse_checks_every_t_first(self, monkeypatch):
         # a fresh config: not even the divisor C* is integrated
         calls = count_engine_calls(monkeypatch)
-        monkeypatch.setattr(bandlim.quadrature, "_line_integrals",
-                            bandlim.transform._line_integrals)
+        for entry in ("_line_integrals", "_line_rows"):
+            monkeypatch.setattr(bandlim.quadrature, entry, getattr(bandlim.transform, entry))
         for t in ([0.2, 1.0], [0.1, 0.2, math.nan], math.nan, [0.2, math.inf],
                   [-math.inf, 0.2]):
             with pytest.raises(DomainError):
@@ -301,13 +306,31 @@ class TestGridCalls:
 
 
 def count_engine_calls(monkeypatch):
+    """The t of every engine call from the transform module, through either
+    entry: the array result or the stream of converged rows."""
     calls = []
-    engine = bandlim.transform._line_integrals
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return engine(*args, **kwargs)
-    monkeypatch.setattr(bandlim.transform, "_line_integrals", counting)
+    def counting(engine):
+        def call(*args, **kwargs):
+            calls.append(args[1])
+            return engine(*args, **kwargs)
+        return call
+    for entry in ("_line_integrals", "_line_rows"):
+        monkeypatch.setattr(bandlim.transform, entry,
+                            counting(getattr(bandlim.transform, entry)))
+    return calls
+
+
+def count_alone_calls(monkeypatch):
+    """The t of every integrate_oscillatory_line call from the transform
+    module: one point integrated on its own."""
+    calls = []
+    alone = bandlim.transform.integrate_oscillatory_line
+
+    def call(envelope, t, params=None):
+        calls.append(t)
+        return alone(envelope, t, params)
+    monkeypatch.setattr(bandlim.transform, "integrate_oscillatory_line", call)
     return calls
 
 
@@ -458,6 +481,27 @@ class TestInverseStacks:
         assert got[0] == ("EvaluationError" if len(t) == 2 else "ConvergenceError")
         assert got == inverse_outcome(pointwise_inverse, g, t,
                                       TransformConfig(line_params=params))
+
+    def test_failing_stack_is_one_engine_call(self, monkeypatch):
+        # alone, 0.9 converges and -0.9 does not: the stack streams 0.9's
+        # value, then gives -0.9 its own error, with no point integrated again
+        config = TransformConfig(line_params=LineIntegralParams(1e-9, 13))
+        config.divisor()
+        t = [0.9, -0.9]
+        want = inverse_outcome(pointwise_inverse, G4, t, config)
+        assert want[0] == "ConvergenceError" and "grid index 1" in want[1]
+        calls, alone = count_engine_calls(monkeypatch), count_alone_calls(monkeypatch)
+        assert inverse_outcome(inverse_transform, G4, t, config) == want
+        assert len(calls) == 1 and alone == []
+
+    def test_failing_edge_stack_raises_its_first_point(self, config, monkeypatch):
+        config.divisor()
+        calls, alone = count_engine_calls(monkeypatch), count_alone_calls(monkeypatch)
+        edge = 1.0 - 1e-9
+        with pytest.raises(ConvergenceError, match="grid index 0") as info:
+            inverse_transform(BesselSeries([2.0]), [-edge, edge], config)
+        assert f"t={-edge!r}" in str(info.value)
+        assert len(calls) == 1 and alone == []
 
     def test_one_row_stack_error_is_not_redone(self, monkeypatch):
         config = TransformConfig(line_params=LineIntegralParams(1e-9, 13))
