@@ -264,7 +264,7 @@ def build_parser():
     p = sub.add_parser("forward", help="forward transform of a series on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "z", 0.0, 10.0)
-    _add_common(p, "npoints", "show-config")
+    _add_common(p, "show-config")
     p.set_defaults(fn=partial(_cmd_on_grid, LegendreSeries, forward_transform, "z"))
 
     p = sub.add_parser("inverse", help="inverse transform on a t grid")

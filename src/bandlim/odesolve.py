@@ -4,20 +4,20 @@ For L = sum_k a_k d^k/dz^k acting on a band-limited g(z) = int f(t) e^{izt} dt,
 differentiation under the integral turns L into multiplication by the
 symbol F(it) = sum_k a_k (it)^k.  Solving L g = h with h = sum d_n j_n
 reduces to the pointwise division f(t) = hhat(t) / F(it), where
-hhat = sum d_n (2 i^n)^{-1} P_n; g is then recovered with the forward
-transform.  Zeros of F(it) on [-1, 1] leave the method undefined and are
-refused with a diagnostic.
+hhat = sum d_n (2 i^n)^{-1} P_n; g is the forward transform of the ratio's
+interpolant at the compact rule's nodes, a Bessel series.  Zeros of F(it)
+on [-1, 1] leave the method undefined and are refused with a diagnostic.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularSymbolError
 from .specfun import _check_order
-from .transform import (BesselSeries, LegendreSeries, _as_coeffs, coeff_bar,
-                        forward_transform, legendre_projection)
+from .transform import (BesselSeries, LegendreSeries, _as_coeffs, _as_legendre,
+                        coeff_bar, coeff_unbar, forward_transform,
+                        legendre_projection)
 
 _SYMBOL_FLOOR = 1e-8
 _SYMBOL_SAMPLES = 512
@@ -71,12 +71,12 @@ class SolutionBundle:
     """Result of a transform-domain solve.
 
     f_series is the degree-nmax Legendre projection of the exact pointwise
-    ratio hhat/F; g_at evaluates the solution from the ratio itself (no
-    double truncation); residual_report = max |L g - h| over the check grid.
+    ratio hhat/F; g_at is g, the forward transform of the ratio's interpolant
+    (a BesselSeries); residual_report = max |L g - h| over the check grid.
     """
 
     f_series: LegendreSeries
-    g_at: Callable[[np.ndarray], np.ndarray]
+    g_at: BesselSeries
     residual_report: float
 
 
@@ -112,23 +112,19 @@ def solve(op, h, nmax, config, residual_threshold=None):
     _check_symbol(op, config.compact_rule)
 
     hbar = coeff_bar(h)
-    symbol = op.symbol
 
     def ratio(t):
-        return hbar(t) / symbol(t)
+        return hbar(t) / op.symbol(t)
 
     f_series = legendre_projection(ratio, nmax, config.compact_rule)
-
-    def g_at(z):
-        return forward_transform(ratio, z, config)
-
-    lg = apply_operator(op, ratio, _CHECK_GRID, config)
+    f = _as_legendre(ratio, config.compact_rule)
+    lg = apply_operator(op, f, _CHECK_GRID, config)
     residual = float(np.max(np.abs(lg - h(_CHECK_GRID))))
     if residual_threshold is not None and residual > residual_threshold:
         raise ConvergenceError(
             f"solve residual {residual:.3e} exceeds threshold {residual_threshold:.3e}",
             last_values=(residual,))
-    return SolutionBundle(f_series=f_series, g_at=g_at, residual_report=residual)
+    return SolutionBundle(f_series=f_series, g_at=coeff_unbar(f), residual_report=residual)
 
 
 def operator_to_json(op):

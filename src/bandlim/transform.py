@@ -1,7 +1,7 @@
 """The transform pair between Legendre series on [-1,1] and band-limited
 spherical-Bessel series on the line.
 
-Forward:  g(z) = int_-1^1 f(t) e^{izt} dt          (compact quadrature)
+Forward:  g(z) = int_-1^1 f(t) e^{izt} dt          (exact, no quadrature)
 Inverse:  f(t) = (1/C) int_-inf^inf g(y) e^{-iyt} dy   for |t| < 1
 
 The printed source constant for C is 4; the divisor actually required to
@@ -9,8 +9,9 @@ make the inverse undo the forward is measured by calibrate_normalization
 (it comes out at 2 pi).  Both conventions are supported and the measured
 value is always reported rather than assumed.
 
-Coefficient dictionaries: a Bessel series g = sum c_n j_n corresponds to
-the Legendre series f = sum cbar_n P_n with cbar_n = c_n / (2 i^n).
+Coefficient dictionaries: by Bauer's expansion e^{izt} = sum (2n+1) i^n
+P_n(t) j_n(z), the forward transform of the Legendre series f = sum cbar_n P_n
+is exactly the Bessel series g = sum c_n j_n with c_n = 2 i^n cbar_n.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .errors import ConvergenceError, DomainError, InvalidRuleError, RuleTooSmal
 from .quadrature import (LineIntegralParams, QuadratureRule, _eval_integrand,
                          _line_integrals, _line_rows, gauss_legendre_rule,
                          integrate_oscillatory_line)
-from .specfun import _check_order, _jn_table, legendre_all
+from .specfun import MAX_ORDER, _check_order, _jn_table, legendre_all
 
 CALIBRATED = "calibrated"
 PAPER_QUARTER = "paper-quarter"
@@ -55,12 +56,13 @@ class LegendreSeries:
 
     def __call__(self, t):
         p = legendre_all(len(self) - 1, t)
-        return np.tensordot(self.coeffs, p, axes=(0, 0))
+        return np.tensordot(self.coeffs, p, axes=(0, 0))[()]  # 0-d: a scalar
 
 
 @dataclass(frozen=True)
 class BesselSeries:
-    """g(z) = sum_n coeffs[n] j_n(z), defined for all real z."""
+    """g(z) = sum_n coeffs[n] j_n(z), defined for all real z, summed in order
+    n = 0..N at every z, so that no value's bits depend on the shape of z."""
 
     coeffs: np.ndarray
     kind = "bessel"
@@ -72,8 +74,12 @@ class BesselSeries:
         return self.coeffs.size
 
     def __call__(self, z):
-        table = _jn_table(len(self) - 1, z)
-        return np.tensordot(self.coeffs, table, axes=(0, 0))
+        if not np.all(np.isfinite(z)):
+            raise DomainError("z must be finite")
+        out = np.zeros(np.shape(z), dtype=complex)
+        for c, j in zip(self.coeffs, _jn_table(len(self) - 1, z)):
+            out += c * j
+        return out[()]  # 0-d: a scalar
 
 
 def coeff_bar(series):
@@ -115,21 +121,19 @@ class TransformConfig:
         return calibrate_normalization(self)
 
 
-def forward_transform(f, z, config):
-    """g(z) = int_-1^1 f(t) e^{izt} dt by compact quadrature, for a scalar
-    or an array z (the result has its shape).
+def _as_legendre(f, rule):
+    """A LegendreSeries f itself, else the callable f projected on the rule to
+    the highest degree it supports: up to 129 nodes, f's interpolant there."""
+    if isinstance(f, LegendreSeries):
+        return f
+    return legendre_projection(f, min(len(rule), MAX_ORDER + 1) - 1, rule)
 
-    f is a LegendreSeries or a vectorized callable on [-1, 1], evaluated
-    once at the rule's nodes.  For a LegendreSeries the exact result is
-    coeff_unbar(f)(z).
-    """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise DomainError("z must be finite")
-    rule = config.compact_rule
-    vals = _eval_integrand(f, rule.nodes)
-    return np.sum(rule.weights * vals * np.exp(1j * z[..., None] * rule.nodes),
-                  axis=-1)
+
+def forward_transform(f, z, config):
+    """g(z) = int_-1^1 f(t) e^{izt} dt = coeff_unbar(f)(z) for a LegendreSeries
+    f, or for the interpolant of a vectorized callable f at the compact rule's
+    nodes; z is a finite scalar or array, and the result has its shape."""
+    return coeff_unbar(_as_legendre(f, config.compact_rule))(z)
 
 
 def inverse_transform(g, t, config):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -6,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-import bandlim.odesolve
+import bandlim.cli
 from bandlim.cli import build_parser, main
 
 
@@ -84,6 +85,13 @@ class TestTransformCommands:
         assert code == 0
         re = float(out.strip().split("\n")[1].split(",")[1])
         assert re == pytest.approx(1.0, abs=1e-6)
+
+    def test_forward_far_out(self, capsys, tmp_path):
+        # forward of P_0 is 2 sin z / z, printed exactly at any z
+        path = write_series(tmp_path, "p0.json", "legendre", [1.0])
+        code, out, _ = run(capsys, "forward", "--in", path, "--z", "60", "--out", "-")
+        assert code == 0
+        assert out.splitlines()[1] == f"60.0,{2 * math.sin(60.0) / 60.0!r},0.0"
 
     def test_projections(self, capsys, tmp_path):
         path = write_series(tmp_path, "g.json", "bessel", [2.0])
@@ -353,7 +361,7 @@ ACCEPTED = {
     "eval-jn": (),
     "eval-pn": (),
     "gauss-rule": ("--npoints",),
-    "forward": ("--npoints", "--show-config"),
+    "forward": ("--show-config",),
     "inverse": ("--normalization", "--max-segments", "--show-config"),
     "project-legendre": ("--npoints", "--show-config"),
     "project-bessel": ("--max-segments", "--show-config"),
@@ -377,12 +385,13 @@ class TestConfigFlags:
             assert "--out" in options
             assert {f for f in CONFIG_FLAGS if f in options} == set(flags)
             slots += 1 + len(flags)
-        assert slots == 32
+        assert slots == 31
 
     @pytest.mark.parametrize("argv", [
         "eval-jn --n 1 --z 1 --npoints 8",
         "bauer-check --z 1 --t 1 --max-segments 50",
         "inverse --in {g} --t 0.25 --npoints 8",
+        "forward --in {g} --z 1 --npoints 40",
     ], ids=lambda argv: argv.split()[0])
     def test_unread_flag_refused(self, capsys, tmp_path, argv):
         g = write_series(tmp_path, "g.json", "bessel", [2.0])
@@ -414,12 +423,16 @@ class TestConfigFlags:
 
 def test_solve_ode_evaluates_g_once_per_point(capsys, tmp_path, monkeypatch):
     calls = []
-    forward = bandlim.odesolve.forward_transform
+    solve = bandlim.cli.solve
 
-    def counting(*args):
-        calls.append(args[1])
-        return forward(*args)
-    monkeypatch.setattr(bandlim.odesolve, "forward_transform", counting)
+    def counting_g(*args, **kwargs):
+        bundle = solve(*args, **kwargs)
+
+        def g_at(z):
+            calls.append(z)
+            return bundle.g_at(z)
+        return dataclasses.replace(bundle, g_at=g_at)
+    monkeypatch.setattr(bandlim.cli, "solve", counting_g)
     h = write_series(tmp_path, "h.json", "bessel", [2.0])
     op = tmp_path / "op.json"
     op.write_text(json.dumps({"op": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}))
@@ -428,7 +441,7 @@ def test_solve_ode_evaluates_g_once_per_point(capsys, tmp_path, monkeypatch):
                        "--out", "-")
     assert code == 0
     assert len(json.loads(out)["g"]) == 5
-    assert sum(np.size(z) for z in calls) == len(bandlim.odesolve._CHECK_GRID) + 5
+    assert [np.size(z) for z in calls] == [5]
 
 
 def test_roundtrip_grid_matches_single_points(capsys, tmp_path):

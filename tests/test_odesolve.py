@@ -86,6 +86,15 @@ class TestSolve:
         assert abs(sol.g_at(0.0) - math.pi / 2) < 1e-9
         assert sol.residual_report < 1e-8
 
+    @pytest.mark.parametrize("z", [60.0, 200.0])
+    def test_helmholtz_like_far_out(self, config, z):
+        # g(z) = int_-1^1 e^{izt} / (1 + t^2) dt, by a 1500-point Gauss sum
+        rule = gauss_legendre_rule(1500)
+        want = np.sum(rule.weights * np.exp(1j * z * rule.nodes) / (1.0 + rule.nodes ** 2))
+        sol = solve(DifferentialOperator([1.0, 0.0, -1.0]), BesselSeries([2.0]), 16, config)
+        assert isinstance(sol.g_at, BesselSeries)
+        assert abs(sol.g_at(z) - want) < 1e-13
+
     def test_odd_right_hand_side(self, config):
         op = DifferentialOperator([1.0, 0.0, -1.0])
         sol = solve(op, BesselSeries([0.0, 2j]), 16, config)
