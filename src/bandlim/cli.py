@@ -96,7 +96,8 @@ _threshold.__name__ = "float"  # unparsable text reads "invalid float value"
 _CONFIG_FLAGS = {
     "npoints": dict(type=int, help="compact Gauss-Legendre rule size"),
     "normalization": dict(choices=[CALIBRATED, PAPER_QUARTER]),
-    "max-segments": dict(type=int, help="line-integral segment cap"),
+    "max-segments": dict(type=int, help="line-integral segment cap (core "
+                         "segments for project-bessel of a series)"),
     "show-config": dict(action="store_true",
                         help="print the effective configuration to stderr"),
 }
@@ -304,7 +305,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_ortho_check)
 
     p = sub.add_parser("calibrate", help="measure the inverse divisor C*")
-    _add_common(p, "max-segments", "show-config")
+    _add_common(p, "show-config")
     p.set_defaults(fn=_cmd_calibrate)
 
     p = sub.add_parser("roundtrip", help="inverse-then-forward on a z grid")

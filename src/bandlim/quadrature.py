@@ -15,8 +15,16 @@ The slow beat mode at frequency 1-|t| carries its information only at
 |y| of order 1/(1-|t|), so the core half-width scales like 1/(1-|t|)
 before any acceleration; no resummation recovers it from short-range
 samples.  The nodes depend on |t| alone, so t and -t can share a stack.
+
+Envelopes that are spherical-Bessel series, or products of two, need no
+acceleration at t = 0: each j_n has a finite Hankel expansion, so beyond
+a radius R the envelope is a finite sum of y^{-m} e^{iwy}, whose tail
+integrals are closed forms in the exponential integral E_m.  The exact
+path (_hankel_line_integrals) integrates the core [-R, R] with the
+segment rule in one envelope call and adds those tails.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -48,6 +56,11 @@ _CHECK_EVERY = 6  # tail segments between later checks
 # at offset k the remainder ~c/k cannot be recovered from a short window
 # around k once k is much larger than the window.
 _LEVIN_PREFIXES = (12, 16, 20)
+# exact series path: core radius floor, and the E_m continued fraction
+_HANKEL_MIN_RADIUS = 24.0
+_LENTZ_TINY = 1e-300
+_LENTZ_EPS = 1e-15
+_LENTZ_MAXIT = 1000
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,11 @@ def integrate_compact(integrand, rule):
 
 @dataclass(frozen=True)
 class LineIntegralParams:
-    """Relative tolerance and tail-segment cap of the line integrals."""
+    """Relative tolerance and tail-segment cap of the line integrals.
+
+    On the exact series path (bessel_projection of a BesselSeries) tol
+    plays no part and max_segments caps the core's length-pi segments.
+    """
 
     tol: float = 1e-9
     max_segments: int = 400
@@ -183,6 +200,94 @@ def _segment_integrals(fn, a, b):
     x = half[..., None] * rule.nodes + 0.5 * (a + b)[..., None]
     vals = fn(x.reshape(-1)).reshape((-1,) + x.shape)
     return half * np.sum(rule.weights * vals, axis=-1)
+
+
+def _expint_orders(mmax, z):
+    """[0, E_1(z), .., E_mmax(z)] of the generalized exponential integral
+    E_m(z) = int_1^inf e^{-zs} s^{-m} ds, for Re z >= 0 and |z| > mmax.
+
+    E_mmax comes from its continued fraction by the modified Lentz method
+    (Numerical Recipes 6.3), the rest from the downward recurrence
+    E_m = (e^{-z} - m E_{m+1}) / z, which damps errors by m / |z| a step.
+    """
+    b = z + mmax
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, _LENTZ_MAXIT + 1):
+        a = -i * (mmax - 1 + i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _LENTZ_EPS:
+            break
+    else:
+        raise ConvergenceError(f"E_{mmax}({z}) continued fraction did not converge")
+    ez = cmath.exp(-z)
+    e = [0j] * (mmax + 1)
+    e[mmax] = h * ez
+    for m in range(mmax - 1, 0, -1):
+        e[m] = (ez - m * e[m + 1]) / z
+    return np.array(e)
+
+
+def _hankel_tails(omegas, coeffs, radius):
+    """int_{|y|>R} of rows sum_w e^{i omegas[w] y} sum_m A[i, w, m] y^{-m},
+    given coeffs[i, w, m] = A[i, w, m] R^{1-m} (coeffs[..., 0] = 0); R must
+    exceed m / |omega| for every nonzero omega and every m.
+
+    The tail of y^{-m} e^{iwy} is R^{1-m} [E_m(-iwR) + (-1)^m E_m(iwR)]
+    (DLMF 8.19), and 2 R^{1-m} / (m-1) for even m, 0 for odd m, at w = 0,
+    so the scale R^{1-m} cancels.  E_m at iwR is the conjugate of E_m at
+    -iwR, and the tail at -w is (-1)^m times the tail at w.
+    """
+    m = np.arange(coeffs.shape[-1])
+    sign = np.where(m % 2, -1.0, 1.0)
+    tails = np.zeros((len(omegas), m.size), dtype=complex)
+    for w, omega in enumerate(omegas):
+        if omega == 0:
+            tails[w, 2::2] = 2.0 / (m[2::2] - 1)
+        else:
+            e = _expint_orders(m.size - 1, -1j * abs(omega) * radius)
+            tails[w] = (e + sign * e.conj()) * (sign if omega < 0 else 1.0)
+    return np.sum(coeffs * tails, axis=(-2, -1))
+
+
+def _hankel_radius(order, max_segments=None, labels=None):
+    """The core radius R of the exact path for rows whose highest j_n order
+    is order: the least R >= max(24, order^2 / 8) that makes whole chunks
+    of four length-pi segments, which keeps the Hankel expansion free of
+    cancellation and |omega R| above every m.  If the core needs more than
+    max_segments segments, raises ConvergenceError naming t = 0, the number
+    of segments and labels, the rows.
+    """
+    chunk = _CORE_CHUNK_PERIODS * _SEGMENT
+    nchunks = math.ceil(2.0 * max(_HANKEL_MIN_RADIUS, order * order / 8.0) / chunk)
+    pieces = _CORE_CHUNK_PERIODS * nchunks
+    if max_segments is not None and pieces > max_segments:
+        named = "" if labels is None else " for " + ", ".join(labels)
+        raise ConvergenceError(f"line integral at t=0.0 needs {pieces} core segments, "
+                               f"more than max_segments={max_segments}{named}")
+    return 0.5 * chunk * nchunks
+
+
+def _hankel_line_integrals(envelope, omegas, coeffs, radius):
+    """int_-inf^inf envelope(y)[i] dy (t = 0), exactly, for rows with a
+    finite Hankel form sum_w e^{iwy} sum_m A[i, w, m] y^{-m} at y != 0,
+    given as (omegas, coeffs) for _hankel_tails, at a radius from
+    _hankel_radius.
+
+    envelope maps nodes y of shape (m,) to a stack (k, m).  The core
+    [-R, R] is integrated by the segment rule on chunks of four length-pi
+    segments with one envelope call, and the chunk values are summed in one
+    fixed order; the tails beyond R are added in closed form.
+    """
+    nchunks = round(2.0 * radius / (_CORE_CHUNK_PERIODS * _SEGMENT))
+    edges = np.linspace(-radius, radius, nchunks + 1)
+    core = np.sum(_segment_integrals(envelope, edges[:-1], edges[1:]), axis=-1)
+    return core + _hankel_tails(omegas, coeffs, radius)
 
 
 @functools.cache

@@ -136,6 +136,50 @@ def _jn_table(nmax, z):
     return out.reshape((nmax + 1,) + z.shape)
 
 
+def _hankel_table(nmax, radius):
+    """Scaled Hankel coefficients h of j_0..j_nmax, shape (nmax+1, nmax+2):
+
+        j_n(y) = sum_m (h[n, m] e^{iy} + conj(h[n, m]) e^{-iy}) R^{m-1} y^{-m}
+
+    exactly, for every real y != 0 (DLMF 10.49.1), with R = radius.  That is
+    h[n, k+1] = i^{k-n-1} a_k / (2 R^k), a_k = (n+k)! / (2^k k! (n-k)!), and
+    a_k / R^k is built as a running product, so that no factorial over- or
+    underflows; h[n, 0] = 0, and h[n, m] = 0 for m > n + 1.
+    """
+    n = np.arange(nmax + 1)[:, None]
+    k = np.arange(nmax + 1)
+    scaled = np.ones((nmax + 1, nmax + 1))  # a_k / R^k
+    scaled[:, 1:] = np.cumprod((n + k[:-1] + 1) * (n - k[:-1])
+                               / (2.0 * (k[:-1] + 1) * radius), axis=1)
+    h = np.zeros((nmax + 1, nmax + 2), dtype=complex)
+    h[:, 1:] = 0.5 * np.array([1, 1j, -1, -1j])[(k - n - 1) % 4] * scaled
+    return h
+
+
+
+def _hankel_laurent(radius, a, b=None):
+    """(omegas, coeffs) of the rows sum_n a[i, n] j_n, or with b of the row
+    products (sum_n a[i, n] j_n)(sum_n b[i, n] j_n), in the scaled form
+    that quadrature._hankel_tails takes: row i is
+    sum_w e^{i omegas[w] y} sum_m coeffs[i, w, m] R^{m-1} y^{-m} for y != 0.
+
+    A series has omega = 1, -1 (_hankel_table), a product omega = 2, 0, -2,
+    whose coefficients are the convolutions of its factors', rescaled by
+    1 / R since R^{1-m} = R^{1-m1} R^{1-m2} / R.  a and b are (k, N+1).
+    """
+    h = _hankel_table(a.shape[-1] - 1, radius)
+    la = np.stack([a @ h, a @ h.conj()], axis=-2)
+    if b is None:
+        return (1, -1), la
+    lb = np.stack([b @ h, b @ h.conj()], axis=-2)
+    k, _, size = la.shape
+    out = np.zeros((k, 3, 2 * size - 1), dtype=complex)
+    for m in range(1, size):
+        out[:, 0, m:m + size] += la[:, 0, m, None] * lb[:, 0]
+        out[:, 1, m:m + size] += la[:, 0, m, None] * lb[:, 1] + la[:, 1, m, None] * lb[:, 0]
+        out[:, 2, m:m + size] += la[:, 1, m, None] * lb[:, 1]
+    return (2, 0, -2), out / radius
+
 def spherical_j_all(nmax, z):
     """j_0(z) .. j_nmax(z) in one stable pass.
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidRuleError, RuleTooSmallError
 from .quadrature import (LineIntegralParams, QuadratureRule, _eval_integrand,
-                         _line_integrals, _line_rows, gauss_legendre_rule,
-                         integrate_oscillatory_line)
-from .specfun import MAX_ORDER, _check_order, _jn_table, legendre_all
+                         _hankel_line_integrals, _hankel_radius, _line_integrals,
+                         _line_rows, gauss_legendre_rule)
+from .specfun import MAX_ORDER, _check_order, _hankel_laurent, _jn_table, legendre_all
 
 CALIBRATED = "calibrated"
 PAPER_QUARTER = "paper-quarter"
@@ -76,10 +76,15 @@ class BesselSeries:
     def __call__(self, z):
         if not np.all(np.isfinite(z)):
             raise DomainError("z must be finite")
-        out = np.zeros(np.shape(z), dtype=complex)
-        for c, j in zip(self.coeffs, _jn_table(len(self) - 1, z)):
+        return self._sum(_jn_table(len(self) - 1, z))[()]  # 0-d: a scalar
+
+    def _sum(self, table):
+        """sum_n coeffs[n] table[n] in order n = 0..N, for a table of j_0..j_M
+        at some points, M >= N."""
+        out = np.zeros(table.shape[1:], dtype=complex)
+        for c, j in zip(self.coeffs, table):
             out += c * j
-        return out[()]  # 0-d: a scalar
+        return out
 
 
 def coeff_bar(series):
@@ -97,9 +102,10 @@ def coeff_unbar(series):
 class TransformConfig:
     """Normalization convention, line-integral tuning, and compact rule.
 
-    The measured inverse divisor C* is computed on first use and cached; it
-    is its exact value within the line-integral tolerance, so a duplicated
-    lazy computation under concurrency is harmless.
+    The measured inverse divisor C* is computed on first use and cached.  It
+    comes from the exact series path, which reads no line parameter, so it
+    is 2 pi to rounding on every config, and a duplicated lazy computation
+    under concurrency is harmless.
     """
 
     def __init__(self, normalization=CALIBRATED, line_params=None, compact_rule=None):
@@ -173,10 +179,14 @@ def calibrate_normalization(config, mode=0):
 
     The forward transform of P_mode is exactly 2 i^mode j_mode
     (coeff_unbar), which is integrated over the line at t = 0 and divided
-    by the value P_mode(0) that the inverse must reproduce.  Only the line
-    integral is measured; the compact rule plays no part.  mode must be
-    even so that P_mode(0) is nonzero.  The mode-0 result is cached on the
-    config.
+    by the value P_mode(0) that the inverse must reproduce.  The integral
+    is the exact series path (_series_integrals): a core window by the
+    segment rule and closed-form Hankel tails, so C* is 2 pi to rounding.
+    It reads no line parameter: no tolerance applies, and no segment cap,
+    so that the divisor never fails where an inverse's own integrals would
+    converge (the core is 16 segments up to mode 14, 1304 at mode 128).
+    The compact rule plays no part either.  mode must be even so that
+    P_mode(0) is nonzero.  The mode-0 result is cached on the config.
     """
     mode = _check_order(mode)
     if mode % 2:
@@ -184,7 +194,7 @@ def calibrate_normalization(config, mode=0):
     if mode == 0 and config._c_star is not None:
         return config._c_star
     g = coeff_unbar(LegendreSeries(np.eye(mode + 1)[mode]))
-    raw = integrate_oscillatory_line(g, 0.0, config.line_params)
+    raw = _series_integrals(lambda y: g(y)[None], mode, g.coeffs[None])[0]
     expected = float(legendre_all(mode, 0.0)[mode])
     c_star = (raw / expected).real
     if c_star <= 0:
@@ -208,19 +218,45 @@ def legendre_projection(f, nmax, rule):
     return LegendreSeries(coeffs)
 
 
+def _series_integrals(envelope, order, a, b=None, max_segments=None, labels=None):
+    """int envelope(y)[i] dy over the line on the exact series path
+    (quadrature._hankel_line_integrals), for rows that are the Bessel series
+    a[i], or with b the products of the series a[i] and b[i]; a and b are
+    coefficient stacks of one length, order + 1."""
+    radius = _hankel_radius(order, max_segments, labels)
+    return _hankel_line_integrals(envelope, *_hankel_laurent(radius, a, b), radius)
+
+
 def bessel_projection(g, nmax, config):
     """Bessel coefficients c_n = int g(y) j_n(y) dy / K_n, K_n = int j_n^2 dy
     measured.  Every projection g j_n and every norm j_n^2, n = 0..nmax, is a
-    row of one stacked line integral, so the result depends only on g, nmax
-    and the config's line parameters."""
+    row of one stacked integral, so the result depends only on g, nmax and
+    the config's line parameters.  For a BesselSeries g each row is a
+    product of two Bessel series, integrated exactly (_series_integrals): a
+    core window and closed-form tails, with no accelerator and no use of
+    tol; a core of more than max_segments segments raises ConvergenceError.
+    A vectorized callable g takes the accelerated line engine."""
     nmax = _check_order(nmax)
     labels = [f"{row}_{n}" for row in "cK" for n in range(nmax + 1)]
+    if isinstance(g, BesselSeries):
+        order = max(len(g) - 1, nmax)
 
-    def env(y):
-        table = _jn_table(nmax, y)
-        return np.concatenate([_eval_integrand(g, y) * table, table ** 2])
+        def env(y):
+            table = _jn_table(order, y)
+            return np.concatenate([g._sum(table) * table[:nmax + 1], table[:nmax + 1] ** 2])
 
-    raw = _line_integrals(env, 0.0, config.line_params, labels)
+        unit = np.eye(nmax + 1, order + 1)  # j_n, n = 0..nmax, as series
+        series = np.zeros((nmax + 1, order + 1), dtype=complex)
+        series[:, :len(g)] = g.coeffs
+        raw = _series_integrals(env, order, np.concatenate([series, unit]),
+                                np.concatenate([unit, unit]),
+                                config.line_params.max_segments, labels)
+    else:
+        def env(y):
+            table = _jn_table(nmax, y)
+            return np.concatenate([_eval_integrand(g, y) * table, table ** 2])
+
+        raw = _line_integrals(env, 0.0, config.line_params, labels)
     return BesselSeries(raw[:nmax + 1] / raw[nmax + 1:].real)
 
 

@@ -107,6 +107,18 @@ class TestTransformCommands:
         doc = json.loads(out)
         assert doc["coeffs"][0][0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("coeffs", [[2.0], [0.3 + 0.1j, -0.5 + 0.2j, 0.25 - 0.4j, 0.1]])
+    def test_readme_project_bessel(self, capsys, tmp_path, coeffs):
+        # README's `project-bessel --nmax 8`: a series recovers its own
+        # coefficients, zeros past its degree
+        path = write_series(tmp_path, "g.json", "bessel", coeffs)
+        code, out, _ = run(capsys, "project-bessel", "--in", path, "--nmax", "8",
+                           "--out", "-")
+        assert code == 0
+        got = [complex(re, im) for re, im in json.loads(out)["coeffs"]]
+        want = coeffs + [0.0] * (9 - len(coeffs))
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-13 and len(got) == 9
+
     def test_roundtrip(self, capsys, tmp_path):
         path = write_series(tmp_path, "g.json", "bessel", [2.0])
         code, out, _ = run(capsys, "roundtrip", "--in", path, "--z", "1",
@@ -285,13 +297,13 @@ class TestPlumbing:
         assert a.read_bytes() == b.read_bytes()
 
     def test_max_segments_flag(self, capsys):
-        code, _, err = run(capsys, "calibrate", "--max-segments", "123",
-                           "--show-config", "--out", "-")
+        code, _, err = run(capsys, "ortho-check", "--nmax", "0", "--max-segments",
+                           "123", "--show-config", "--out", "-")
         assert code == 0
         assert json.loads(err)["max_segments"] == 123
 
     def test_max_segments_below_minimum(self, capsys):
-        code, _, err = run(capsys, "calibrate", "--max-segments", "5",
+        code, _, err = run(capsys, "ortho-check", "--max-segments", "5",
                            "--out", "-")
         assert code == 1
         assert "max_segments" in err
@@ -367,7 +379,7 @@ ACCEPTED = {
     "project-bessel": ("--max-segments", "--show-config"),
     "bauer-check": (),
     "ortho-check": ("--max-segments", "--show-config"),
-    "calibrate": ("--max-segments", "--show-config"),
+    "calibrate": ("--show-config",),
     "roundtrip": ("--npoints", "--normalization", "--max-segments",
                   "--show-config"),
     "solve-ode": ("--npoints", "--show-config"),
@@ -385,11 +397,12 @@ class TestConfigFlags:
             assert "--out" in options
             assert {f for f in CONFIG_FLAGS if f in options} == set(flags)
             slots += 1 + len(flags)
-        assert slots == 31
+        assert slots == 30
 
     @pytest.mark.parametrize("argv", [
         "eval-jn --n 1 --z 1 --npoints 8",
         "bauer-check --z 1 --t 1 --max-segments 50",
+        "calibrate --max-segments 50",
         "inverse --in {g} --t 0.25 --npoints 8",
         "forward --in {g} --z 1 --npoints 40",
     ], ids=lambda argv: argv.split()[0])

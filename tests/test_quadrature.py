@@ -539,3 +539,63 @@ class TestBatchedTails:
         tails = [2 * _FIRST_CHECK] + [2 * _CHECK_EVERY] * (len(checks) - 1)
         assert len(checks) >= 2
         assert sizes == [32] * 5 + [32 * n for n in tails]
+
+
+class TestHankelTails:
+    """The exact path for series at t = 0: E_m against mpmath, and whole
+    line integrals against their closed forms."""
+
+    @pytest.mark.parametrize("order", [0, 3, 10, 40, 70])
+    @pytest.mark.parametrize("omega", [1, 2])
+    def test_expint_against_mpmath(self, order, omega):
+        # the orders and arguments the exact path uses: a series of j_n,
+        # n <= order, needs E_1..E_{order+1} at +-iR; a product of two needs
+        # E_1..E_{2 order+2} at +-2iR
+        nchunks = math.ceil(max(24.0, order * order / 8.0) / (2 * math.pi))
+        self.check_expint(omega * (order + 1), omega * 2 * math.pi * nchunks)
+
+    def test_expint_at_radius_floor(self):
+        self.check_expint(23, 24.0)
+
+    def check_expint(self, mmax, r):
+        mpmath = pytest.importorskip("mpmath")
+        for z in (-1j * r, 1j * r):
+            got = bandlim.quadrature._expint_orders(mmax, z)
+            assert got[0] == 0 and got.size == mmax + 1
+            with mpmath.workdps(20):
+                want = [complex(mpmath.expint(m, z)) for m in range(1, mmax + 1)]
+            assert np.max(np.abs(got[1:] - want) / np.abs(want)) < 2e-15
+
+    def test_tail_functional_at_zero_frequency(self):
+        # int_{|y|>R} y^-m dy: 2 R^{1-m}/(m-1) for even m, 0 for odd m
+        radius = 30.0
+        coeffs = np.zeros((1, 1, 6), dtype=complex)
+        coeffs[0, 0, 1:] = 1.0
+        got = bandlim.quadrature._hankel_tails((0,), coeffs, radius)
+        assert got[0] == pytest.approx(2.0 / 1 + 2.0 / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("order", [0, 5, 40])
+    def test_sinc_integral(self, order):
+        # j_0 = sin y / y integrates to pi, whatever order sets the radius
+        h = bandlim.quadrature
+        coeffs = np.array([[[0, -0.5j], [0, 0.5j]]])
+        got = h._hankel_line_integrals(lambda y: np.sinc(y / np.pi)[None], (1, -1),
+                                       coeffs, h._hankel_radius(order))
+        assert abs(got[0] - math.pi) < 4e-15
+
+    def test_radius(self):
+        h = bandlim.quadrature
+        # the least multiple of 2 pi (a chunk of four length-pi segments is
+        # 4 pi wide, and the core spans 2R) at or above max(24, order^2 / 8)
+        assert h._hankel_radius(0) == h._hankel_radius(14) == 8 * math.pi
+        assert h._hankel_radius(15) == 10 * math.pi
+        assert h._hankel_radius(70) == 196 * math.pi
+
+    def test_core_segments_capped(self):
+        h = bandlim.quadrature
+        # order 0: R = 8 pi >= 24, so the core is 16 segments of length pi
+        assert h._hankel_radius(0, 16) == 8 * math.pi
+        with pytest.raises(ConvergenceError) as info:
+            h._hankel_radius(0, 15, ["row"])
+        assert str(info.value) == ("line integral at t=0.0 needs 16 core segments, "
+                                   "more than max_segments=15 for row")

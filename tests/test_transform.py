@@ -354,14 +354,16 @@ def count_engine_calls(monkeypatch):
 
 def count_alone_calls(monkeypatch):
     """The t of every integrate_oscillatory_line call from the transform
-    module: one point integrated on its own."""
+    module: one point integrated on its own.  The module does not import
+    it, so the name is set there, where a fallback that did would find it."""
     calls = []
-    alone = bandlim.transform.integrate_oscillatory_line
+    alone = bandlim.quadrature.integrate_oscillatory_line
 
     def call(envelope, t, params=None):
         calls.append(t)
         return alone(envelope, t, params)
-    monkeypatch.setattr(bandlim.transform, "integrate_oscillatory_line", call)
+    monkeypatch.setattr(bandlim.transform, "integrate_oscillatory_line", call,
+                        raising=False)
     return calls
 
 
@@ -378,9 +380,10 @@ class TestStackedIntegrals:
                 assert gram[n, m] == gram[m, n] == want
 
     def test_projection_rows_equal_one_row_calls(self):
+        # a bare callable takes the stacked engine; a BesselSeries would not
         cfg = TransformConfig()
         g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j, 0.2])
-        got = bessel_projection(g, 4, cfg).coeffs
+        got = bessel_projection(lambda y: g(y), 4, cfg).coeffs
         raw = [integrate_oscillatory_line(lambda y: g(y) * _jn_table(4, y)[n], 0.0)
                for n in range(5)]
         norms = [integrate_oscillatory_line(lambda y: _jn_table(4, y)[n] ** 2, 0.0).real
@@ -393,8 +396,8 @@ class TestStackedIntegrals:
         assert len(calls) == 1
         cfg = TransformConfig()
         g = BesselSeries([0.5, -0.3j, 0.9])
-        bessel_projection(g, 4, cfg)  # measures K_0..K_4 in the same call
-        bessel_projection(g, 4, cfg)
+        bessel_projection(lambda y: g(y), 4, cfg)  # measures K_0..K_4 in the same call
+        bessel_projection(lambda y: g(y), 4, cfg)
         assert len(calls) == 3
 
     @pytest.mark.parametrize("earlier", [5, 6, 7])
@@ -539,10 +542,68 @@ class TestInverseStacks:
         config.divisor()
         alone = []
         monkeypatch.setattr(bandlim.transform, "integrate_oscillatory_line",
-                            lambda *args: alone.append(args))
+                            lambda *args: alone.append(args), raising=False)
         t = [0.3, 0.97, -0.3]  # the 0.97 stack has one row and fails
         got = inverse_outcome(inverse_transform, G3, t, config)
         assert alone == []
         assert "grid index 1" in got[1]
         monkeypatch.undo()
         assert got == inverse_outcome(pointwise_inverse, G3, t, config)
+
+
+class TestExactSeriesPath:
+    """Calibration and projections of a BesselSeries integrate a core window
+    and add their tails in closed form, with no accelerator."""
+
+    @pytest.mark.parametrize("mode", range(0, 11, 2))
+    def test_calibration_is_two_pi(self, mode):
+        assert abs(calibrate_normalization(TransformConfig(), mode) - 2 * math.pi) < 1e-14
+
+    def test_calibration_does_not_read_line_params(self):
+        # C* is exact, so it needs no tolerance, and a cap small enough to
+        # stop every line integral does not stop it
+        tight = TransformConfig(line_params=LineIntegralParams(tol=1e-3, max_segments=12))
+        assert calibrate_normalization(tight) == calibrate_normalization(TransformConfig())
+
+    def test_no_accelerated_engine_call(self, monkeypatch):
+        calls = count_engine_calls(monkeypatch)
+        cfg = TransformConfig()
+        calibrate_normalization(cfg, 4)
+        bessel_projection(BesselSeries([0.5, -0.3j, 0.9]), 4, cfg)
+        assert calls == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(coeffs=st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                              allow_infinity=False),
+                           min_size=1, max_size=17),
+           extra=st.integers(0, 3))
+    @example(coeffs=[1.0] * 17, extra=0)
+    def test_projection_recovers_coefficients(self, coeffs, extra):
+        nmax = len(coeffs) - 1 + extra
+        got = bessel_projection(BesselSeries(coeffs), nmax, TransformConfig()).coeffs
+        want = np.concatenate([coeffs, np.zeros(extra)])
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_projection_below_degree(self):
+        # projecting to fewer orders than g has keeps the leading coefficients
+        g = BesselSeries([0.3, -1j, 0.5, 0.2 + 0.1j, 0.7])
+        got = bessel_projection(g, 2, TransformConfig()).coeffs
+        assert np.max(np.abs(got - g.coeffs[:3])) < 1e-13
+
+    def test_projection_does_not_read_tol(self):
+        g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j, 0.2])
+        loose = TransformConfig(line_params=LineIntegralParams(tol=1e-3))
+        assert same_bits(bessel_projection(g, 4, loose).coeffs,
+                         bessel_projection(g, 4, TransformConfig()).coeffs)
+
+    def test_segment_cap(self):
+        # nmax 70 needs 392 core segments (R = 98 * 2 pi >= 70^2 / 8), 71 needs 404
+        g = BesselSeries([2.0])
+        got = bessel_projection(g, 70, TransformConfig()).coeffs
+        assert np.max(np.abs(got - np.eye(71)[0] * 2.0)) < 1e-13
+        with pytest.raises(ConvergenceError) as info:
+            bessel_projection(g, 71, TransformConfig())
+        message = str(info.value)
+        assert message.startswith("line integral at t=0.0 needs 404 core segments, "
+                                  "more than max_segments=400 for c_0, c_1,")
+        assert message.endswith(", K_70, K_71")
