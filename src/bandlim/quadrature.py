@@ -16,12 +16,16 @@ The slow beat mode at frequency 1-|t| carries its information only at
 before any acceleration; no resummation recovers it from short-range
 samples.  The nodes depend on |t| alone, so t and -t can share a stack.
 
-Envelopes that are spherical-Bessel series, or products of two, need no
-acceleration at t = 0: each j_n has a finite Hankel expansion, so beyond
-a radius R the envelope is a finite sum of y^{-m} e^{iwy}, whose tail
-integrals are closed forms in the exponential integral E_m.  The exact
-path (_hankel_line_integrals) integrates the core [-R, R] with the
-segment rule in one envelope call and adds those tails.
+Spherical-Bessel series, and products of two, need no acceleration at
+t = 0: each j_n has a finite Hankel expansion, so beyond a radius R it is
+a finite sum of y^{-m} e^{iwy}, whose tail integrals are closed forms in
+the exponential integral E_m.  This module gives that exact path's parts:
+the radius and its segment cap (_hankel_radius), the segment rule's nodes
+and weights on the core [-R, R] (_hankel_core), and the closed-form tails
+of the j_n and of their products (_hankel_tails).  transform._line_moments
+joins them into int j_n dy and int j_a j_b dy, once per order in a
+process, so that calibration and Bessel projection are products with
+those cached moments.
 """
 
 import cmath
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, EvaluationError, InvalidRuleError
+from .errors import ConvergenceError, DomainError, EvaluationError, InvalidRuleError
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
@@ -164,8 +168,10 @@ def integrate_compact(integrand, rule):
 class LineIntegralParams:
     """Relative tolerance and tail-segment cap of the line integrals.
 
-    On the exact series path (bessel_projection of a BesselSeries) tol
-    plays no part and max_segments caps the core's length-pi segments.
+    On the exact series path (bessel_projection of a BesselSeries, a
+    product with the cached moments of transform._line_moments) tol plays
+    no part and max_segments caps the core's length-pi segments, so the
+    result depends only on g, nmax and that cap.
     """
 
     tol: float = 1e-9
@@ -208,8 +214,12 @@ def _expint_orders(mmax, z):
 
     E_mmax comes from its continued fraction by the modified Lentz method
     (Numerical Recipes 6.3), the rest from the downward recurrence
-    E_m = (e^{-z} - m E_{m+1}) / z, which damps errors by m / |z| a step.
+    E_m = (e^{-z} - m E_{m+1}) / z, which damps errors by m / |z| a step;
+    for |z| <= mmax it would amplify them, by up to mmax! / |z|^mmax, so
+    such a z raises DomainError.
     """
+    if not abs(z) > mmax:
+        raise DomainError(f"E_m recurrence needs |z| > mmax, got z={z!r}, mmax={mmax}")
     b = z + mmax
     c = 1.0 / _LENTZ_TINY
     d = 1.0 / b
@@ -233,28 +243,6 @@ def _expint_orders(mmax, z):
     return np.array(e)
 
 
-def _hankel_tails(omegas, coeffs, radius):
-    """int_{|y|>R} of rows sum_w e^{i omegas[w] y} sum_m A[i, w, m] y^{-m},
-    given coeffs[i, w, m] = A[i, w, m] R^{1-m} (coeffs[..., 0] = 0); R must
-    exceed m / |omega| for every nonzero omega and every m.
-
-    The tail of y^{-m} e^{iwy} is R^{1-m} [E_m(-iwR) + (-1)^m E_m(iwR)]
-    (DLMF 8.19), and 2 R^{1-m} / (m-1) for even m, 0 for odd m, at w = 0,
-    so the scale R^{1-m} cancels.  E_m at iwR is the conjugate of E_m at
-    -iwR, and the tail at -w is (-1)^m times the tail at w.
-    """
-    m = np.arange(coeffs.shape[-1])
-    sign = np.where(m % 2, -1.0, 1.0)
-    tails = np.zeros((len(omegas), m.size), dtype=complex)
-    for w, omega in enumerate(omegas):
-        if omega == 0:
-            tails[w, 2::2] = 2.0 / (m[2::2] - 1)
-        else:
-            e = _expint_orders(m.size - 1, -1j * abs(omega) * radius)
-            tails[w] = (e + sign * e.conj()) * (sign if omega < 0 else 1.0)
-    return np.sum(coeffs * tails, axis=(-2, -1))
-
-
 def _hankel_radius(order, max_segments=None, labels=None):
     """The core radius R of the exact path for rows whose highest j_n order
     is order: the least R >= max(24, order^2 / 8) that makes whole chunks
@@ -273,21 +261,47 @@ def _hankel_radius(order, max_segments=None, labels=None):
     return 0.5 * chunk * nchunks
 
 
-def _hankel_line_integrals(envelope, omegas, coeffs, radius):
-    """int_-inf^inf envelope(y)[i] dy (t = 0), exactly, for rows with a
-    finite Hankel form sum_w e^{iwy} sum_m A[i, w, m] y^{-m} at y != 0,
-    given as (omegas, coeffs) for _hankel_tails, at a radius from
-    _hankel_radius.
-
-    envelope maps nodes y of shape (m,) to a stack (k, m).  The core
-    [-R, R] is integrated by the segment rule on chunks of four length-pi
-    segments with one envelope call, and the chunk values are summed in one
-    fixed order; the tails beyond R are added in closed form.
-    """
+def _hankel_core(radius):
+    """Nodes and weights of the exact path's core [-R, R], R from
+    _hankel_radius: the segment rule on each chunk of four length-pi
+    segments, flattened in chunk order."""
     nchunks = round(2.0 * radius / (_CORE_CHUNK_PERIODS * _SEGMENT))
     edges = np.linspace(-radius, radius, nchunks + 1)
-    core = np.sum(_segment_integrals(envelope, edges[:-1], edges[1:]), axis=-1)
-    return core + _hankel_tails(omegas, coeffs, radius)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    rule = _seg_rule()
+    nodes = half * rule.nodes + 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return nodes.ravel(), (half * rule.weights).ravel()
+
+
+def _hankel_tails(h, radius):
+    """Tail integrals over |y| > R of the rows s_n, and of their products,
+    of a scaled Hankel form (specfun._hankel_table)
+
+        s_n(y) = sum_m (h[n, m] e^{iy} + conj(h[n, m]) e^{-iy}) R^{m-1} y^{-m},
+
+    as (v, M) with v[n] = int s_n dy and M[a, b] = int s_a s_b dy; R must
+    exceed the highest m, h.shape[1] - 1, and 2 R the highest m of a product.
+
+    With tau_w(m) = R^{m-1} int_{|y|>R} y^{-m} e^{iwy} dy, which is
+    E_m(-iwR) + (-1)^m E_m(iwR) (DLMF 8.19) for w > 0, 2 / (m-1) for even m
+    and 0 for odd m at w = 0, and conj(tau_w) at -w, the series tails are
+    v = h tau_1 + conj(h) tau_-1 = 2 Re(h tau_1).  A product s_a s_b has the
+    frequencies w1 + w2 of its factors' w1, w2 = +-1 and the powers m1 + m2,
+    so M = sum_{w1,w2} H_w1 T_{w1+w2} H_w2^T / R, with H_1 = h, H_-1 =
+    conj(h) and the Hankel matrices T_w[m1, m2] = tau_w(m1 + m2); that is
+    2 Re(h T_2 h^T + h T_0 h^H) / R, in O(N^2) memory.
+    """
+    size = h.shape[1]
+    m = np.arange(2 * size - 1)
+    sign = np.where(m % 2, -1.0, 1.0)
+    e1 = _expint_orders(size - 1, -1j * radius)
+    e2 = _expint_orders(m.size - 1, -2j * radius)
+    tau0 = np.zeros(m.size)
+    tau0[2::2] = 2.0 / (m[2::2] - 1)
+    pairs = np.add.outer(m[:size], m[:size])  # m1 + m2
+    v = 2.0 * (h @ (e1 + sign[:size] * e1.conj())).real
+    tails = h @ (e2 + sign * e2.conj())[pairs] @ h.T + h @ tau0[pairs] @ h.conj().T
+    return v, 2.0 * tails.real / radius
 
 
 @functools.cache

@@ -156,30 +156,6 @@ def _hankel_table(nmax, radius):
     return h
 
 
-
-def _hankel_laurent(radius, a, b=None):
-    """(omegas, coeffs) of the rows sum_n a[i, n] j_n, or with b of the row
-    products (sum_n a[i, n] j_n)(sum_n b[i, n] j_n), in the scaled form
-    that quadrature._hankel_tails takes: row i is
-    sum_w e^{i omegas[w] y} sum_m coeffs[i, w, m] R^{m-1} y^{-m} for y != 0.
-
-    A series has omega = 1, -1 (_hankel_table), a product omega = 2, 0, -2,
-    whose coefficients are the convolutions of its factors', rescaled by
-    1 / R since R^{1-m} = R^{1-m1} R^{1-m2} / R.  a and b are (k, N+1).
-    """
-    h = _hankel_table(a.shape[-1] - 1, radius)
-    la = np.stack([a @ h, a @ h.conj()], axis=-2)
-    if b is None:
-        return (1, -1), la
-    lb = np.stack([b @ h, b @ h.conj()], axis=-2)
-    k, _, size = la.shape
-    out = np.zeros((k, 3, 2 * size - 1), dtype=complex)
-    for m in range(1, size):
-        out[:, 0, m:m + size] += la[:, 0, m, None] * lb[:, 0]
-        out[:, 1, m:m + size] += la[:, 0, m, None] * lb[:, 1] + la[:, 1, m, None] * lb[:, 0]
-        out[:, 2, m:m + size] += la[:, 1, m, None] * lb[:, 1]
-    return (2, 0, -2), out / radius
-
 def spherical_j_all(nmax, z):
     """j_0(z) .. j_nmax(z) in one stable pass.
 

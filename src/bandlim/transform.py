@@ -14,15 +14,16 @@ P_n(t) j_n(z), the forward transform of the Legendre series f = sum cbar_n P_n
 is exactly the Bessel series g = sum c_n j_n with c_n = 2 i^n cbar_n.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidRuleError, RuleTooSmallError
 from .quadrature import (LineIntegralParams, QuadratureRule, _eval_integrand,
-                         _hankel_line_integrals, _hankel_radius, _line_integrals,
+                         _hankel_core, _hankel_radius, _hankel_tails, _line_integrals,
                          _line_rows, gauss_legendre_rule)
-from .specfun import MAX_ORDER, _check_order, _hankel_laurent, _jn_table, legendre_all
+from .specfun import MAX_ORDER, _check_order, _hankel_table, _jn_table, legendre_all
 
 CALIBRATED = "calibrated"
 PAPER_QUARTER = "paper-quarter"
@@ -76,15 +77,11 @@ class BesselSeries:
     def __call__(self, z):
         if not np.all(np.isfinite(z)):
             raise DomainError("z must be finite")
-        return self._sum(_jn_table(len(self) - 1, z))[()]  # 0-d: a scalar
-
-    def _sum(self, table):
-        """sum_n coeffs[n] table[n] in order n = 0..N, for a table of j_0..j_M
-        at some points, M >= N."""
+        table = _jn_table(len(self) - 1, z)
         out = np.zeros(table.shape[1:], dtype=complex)
         for c, j in zip(self.coeffs, table):
             out += c * j
-        return out
+        return out[()]  # 0-d: a scalar
 
 
 def coeff_bar(series):
@@ -103,9 +100,9 @@ class TransformConfig:
     """Normalization convention, line-integral tuning, and compact rule.
 
     The measured inverse divisor C* is computed on first use and cached.  It
-    comes from the exact series path, which reads no line parameter, so it
-    is 2 pi to rounding on every config, and a duplicated lazy computation
-    under concurrency is harmless.
+    comes from the cached line moments (_line_moments), which read no line
+    parameter, so it is 2 pi to rounding and the same bits on every config,
+    and a duplicated lazy computation under concurrency is harmless.
     """
 
     def __init__(self, normalization=CALIBRATED, line_params=None, compact_rule=None):
@@ -178,25 +175,25 @@ def calibrate_normalization(config, mode=0):
     """Measured divisor C* making the inverse undo the forward transform.
 
     The forward transform of P_mode is exactly 2 i^mode j_mode
-    (coeff_unbar), which is integrated over the line at t = 0 and divided
-    by the value P_mode(0) that the inverse must reproduce.  The integral
-    is the exact series path (_series_integrals): a core window by the
-    segment rule and closed-form Hankel tails, so C* is 2 pi to rounding.
-    It reads no line parameter: no tolerance applies, and no segment cap,
-    so that the divisor never fails where an inverse's own integrals would
-    converge (the core is 16 segments up to mode 14, 1304 at mode 128).
-    The compact rule plays no part either.  mode must be even so that
-    P_mode(0) is nonzero.  The mode-0 result is cached on the config.
+    (coeff_unbar); its integral over the line at t = 0, divided by the value
+    P_mode(0) that the inverse must reproduce, is C* = 2 i^mode v[mode] /
+    P_mode(0), with v[mode] = int j_mode dy from the cached line moments
+    (_line_moments): one j_n table per order in a process, so C* is 2 pi to
+    rounding and its bits depend only on mode.  It reads no line parameter:
+    no tolerance applies, and no segment cap, so that the divisor never
+    fails where an inverse's own integrals would converge (the core is 16
+    segments up to mode 14, 1304 at mode 128).  The compact rule plays no
+    part either.  mode must be even so that P_mode(0) is nonzero.  The
+    mode-0 result is cached on the config.
     """
     mode = _check_order(mode)
     if mode % 2:
         raise DomainError("calibration mode must be even (P_n(0) = 0 for odd n)")
     if mode == 0 and config._c_star is not None:
         return config._c_star
-    g = coeff_unbar(LegendreSeries(np.eye(mode + 1)[mode]))
-    raw = _series_integrals(lambda y: g(y)[None], mode, g.coeffs[None])[0]
     expected = float(legendre_all(mode, 0.0)[mode])
-    c_star = (raw / expected).real
+    # 2 i^mode v[mode] / P_mode(0), with i^mode = (-1)^(mode/2) for even mode
+    c_star = 2.0 * (-1) ** (mode // 2) * _line_moments(mode)[0][mode] / expected
     if c_star <= 0:
         raise DomainError(f"calibration produced non-positive divisor {c_star}")
     if mode == 0:
@@ -218,45 +215,56 @@ def legendre_projection(f, nmax, rule):
     return LegendreSeries(coeffs)
 
 
-def _series_integrals(envelope, order, a, b=None, max_segments=None, labels=None):
-    """int envelope(y)[i] dy over the line on the exact series path
-    (quadrature._hankel_line_integrals), for rows that are the Bessel series
-    a[i], or with b the products of the series a[i] and b[i]; a and b are
-    coefficient stacks of one length, order + 1."""
-    radius = _hankel_radius(order, max_segments, labels)
-    return _hankel_line_integrals(envelope, *_hankel_laurent(radius, a, b), radius)
+@functools.cache
+def _line_moments(order):
+    """(v, M), read-only: v[n] = int j_n dy and M[a, b] = int j_a j_b dy over
+    the whole line, for n, a, b <= order (exactly pi |P_n(0)| and
+    pi / (2a+1) delta_ab).
+
+    The core [-R, R], R = _hankel_radius(order), is one _jn_table J on the
+    segment rule's nodes with weights w: J w and (J w) J^T.  The tails
+    beyond R are closed forms of the Hankel expansion (_hankel_tails), so
+    neither tol nor an accelerator plays a part.  Cached per order: each
+    order's table is built once in a process, and a result read from it
+    depends only on the order, not on what was computed before; all 129
+    orders hold about 6 MB.
+    """
+    radius = _hankel_radius(order)
+    nodes, weights = _hankel_core(radius)
+    table = _jn_table(order, nodes)
+    tail_v, tail_m = _hankel_tails(_hankel_table(order, radius), radius)
+    v = table @ weights + tail_v
+    gram = (table * weights) @ table.T + tail_m
+    v.flags.writeable = gram.flags.writeable = False
+    return v, gram
 
 
 def bessel_projection(g, nmax, config):
     """Bessel coefficients c_n = int g(y) j_n(y) dy / K_n, K_n = int j_n^2 dy
-    measured.  Every projection g j_n and every norm j_n^2, n = 0..nmax, is a
-    row of one stacked integral, so the result depends only on g, nmax and
-    the config's line parameters.  For a BesselSeries g each row is a
-    product of two Bessel series, integrated exactly (_series_integrals): a
-    core window and closed-form tails, with no accelerator and no use of
-    tol; a core of more than max_segments segments raises ConvergenceError.
-    A vectorized callable g takes the accelerated line engine."""
+    measured, n = 0..nmax.
+
+    For a BesselSeries g of degree N every integral is an entry of the
+    cached Gram matrix M of _line_moments(max(N, nmax)): c = g.coeffs M[:N+1,
+    :nmax+1] / diag(M), exact to rounding, with no accelerator and no use
+    of tol, and its bits depend only on g and nmax.  A core of more than
+    max_segments segments (_hankel_radius) raises ConvergenceError naming
+    the rows c_n and K_n.  A vectorized callable g takes the accelerated
+    line engine, every projection g j_n and norm j_n^2 a row of one stacked
+    integral, so the result depends only on g, nmax and the line parameters.
+    """
     nmax = _check_order(nmax)
     labels = [f"{row}_{n}" for row in "cK" for n in range(nmax + 1)]
     if isinstance(g, BesselSeries):
         order = max(len(g) - 1, nmax)
+        _hankel_radius(order, config.line_params.max_segments, labels)
+        gram = _line_moments(order)[1]
+        return BesselSeries(g.coeffs @ gram[:len(g), :nmax + 1] / np.diag(gram)[:nmax + 1])
 
-        def env(y):
-            table = _jn_table(order, y)
-            return np.concatenate([g._sum(table) * table[:nmax + 1], table[:nmax + 1] ** 2])
+    def env(y):
+        table = _jn_table(nmax, y)
+        return np.concatenate([_eval_integrand(g, y) * table, table ** 2])
 
-        unit = np.eye(nmax + 1, order + 1)  # j_n, n = 0..nmax, as series
-        series = np.zeros((nmax + 1, order + 1), dtype=complex)
-        series[:, :len(g)] = g.coeffs
-        raw = _series_integrals(env, order, np.concatenate([series, unit]),
-                                np.concatenate([unit, unit]),
-                                config.line_params.max_segments, labels)
-    else:
-        def env(y):
-            table = _jn_table(nmax, y)
-            return np.concatenate([_eval_integrand(g, y) * table, table ** 2])
-
-        raw = _line_integrals(env, 0.0, config.line_params, labels)
+    raw = _line_integrals(env, 0.0, config.line_params, labels)
     return BesselSeries(raw[:nmax + 1] / raw[nmax + 1:].real)
 
 

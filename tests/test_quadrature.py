@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bandlim.quadrature
+import bandlim.specfun
 from bandlim import (ConvergenceError, DomainError, EvaluationError,
                      InvalidRuleError, LineIntegralParams, QuadratureRule,
                      TransformConfig, forward_transform, gauss_legendre_rule,
@@ -566,22 +567,58 @@ class TestHankelTails:
                 want = [complex(mpmath.expint(m, z)) for m in range(1, mmax + 1)]
             assert np.max(np.abs(got[1:] - want) / np.abs(want)) < 2e-15
 
+    def test_expint_refuses_small_argument(self):
+        # the downward recurrence needs |z| > mmax; at or below it the error
+        # grows by up to mmax! / |z|^mmax, so the call raises instead
+        for z in (-10j, 5j, 0j, complex(math.nan, 0)):
+            with pytest.raises(DomainError, match=r"z=.*mmax=10"):
+                bandlim.quadrature._expint_orders(10, z)
+        assert bandlim.quadrature._expint_orders(10, -10.5j).size == 11
+
     def test_tail_functional_at_zero_frequency(self):
-        # int_{|y|>R} y^-m dy: 2 R^{1-m}/(m-1) for even m, 0 for odd m
+        # s = cos y / y (h[0, 1] = 1/2): int_{|y|>R} s = 0 by parity, and
+        # int_{|y|>R} s^2 = 1/R (the w = 0 part, tau_0(2) = 2) plus the
+        # w = +-2 part cos(2R)/R - pi + 2 Si(2R)
+        mpmath = pytest.importorskip("mpmath")
         radius = 30.0
-        coeffs = np.zeros((1, 1, 6), dtype=complex)
-        coeffs[0, 0, 1:] = 1.0
-        got = bandlim.quadrature._hankel_tails((0,), coeffs, radius)
-        assert got[0] == pytest.approx(2.0 / 1 + 2.0 / 3, rel=1e-15)
+        v, m = bandlim.quadrature._hankel_tails(np.array([[0, 0.5]]), radius)
+        want = 1 / radius + math.cos(2 * radius) / radius - math.pi \
+            + 2 * float(mpmath.si(2 * radius))
+        assert abs(v[0]) < 1e-16 and m[0, 0] == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("order", [0, 5, 40])
     def test_sinc_integral(self, order):
-        # j_0 = sin y / y integrates to pi, whatever order sets the radius
+        # j_0 = sin y / y integrates to pi, whatever order sets the radius:
+        # the core rule on sinc plus the closed-form series tail of j_0
         h = bandlim.quadrature
-        coeffs = np.array([[[0, -0.5j], [0, 0.5j]]])
-        got = h._hankel_line_integrals(lambda y: np.sinc(y / np.pi)[None], (1, -1),
-                                       coeffs, h._hankel_radius(order))
-        assert abs(got[0] - math.pi) < 4e-15
+        radius = h._hankel_radius(order)
+        nodes, weights = h._hankel_core(radius)
+        tail, _ = h._hankel_tails(bandlim.specfun._hankel_table(0, radius), radius)
+        assert abs(np.sinc(nodes / np.pi) @ weights + tail[0] - math.pi) < 4e-15
+
+    @pytest.mark.parametrize("order", [0, 3, 9, 20])
+    def test_tails_match_jn_table_between_radii(self, order):
+        # the series and bilinear product tails at R less those at R2 are the
+        # integrals of the j_n table and its products over R < |y| < R2
+        h = bandlim.quadrature
+        radius = h._hankel_radius(order)
+        far = radius + 8 * math.pi  # two more chunks on each side
+        nodes, weights = h._hankel_core(far)
+        outer = np.abs(nodes) > radius
+        table = _jn_table(order, nodes[outer])
+        near_v, near_m = h._hankel_tails(bandlim.specfun._hankel_table(order, radius), radius)
+        far_v, far_m = h._hankel_tails(bandlim.specfun._hankel_table(order, far), far)
+        assert np.max(np.abs(near_v - far_v - table @ weights[outer])) < 2e-15
+        assert np.max(np.abs(near_m - far_m - (table * weights[outer]) @ table.T)) < 2e-16
+
+    def test_core_rule(self):
+        # 16 segments of length pi on [-8 pi, 8 pi], the rule on each chunk
+        # of four: 128 nodes, symmetric, with weights summing to 2 R
+        nodes, weights = bandlim.quadrature._hankel_core(8 * math.pi)
+        assert nodes.shape == weights.shape == (4 * _seg_rule().nodes.size,)
+        assert np.all(np.diff(nodes) > 0) and np.all(np.abs(nodes) < 8 * math.pi)
+        assert np.max(np.abs(nodes + nodes[::-1])) < 1e-14
+        assert math.isclose(weights.sum(), 16 * math.pi, rel_tol=1e-15)
 
     def test_radius(self):
         h = bandlim.quadrature

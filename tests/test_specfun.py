@@ -302,28 +302,29 @@ class TestHankelTable:
 
     @pytest.mark.parametrize("nmax", [0, 2, 9])
     def test_laurent_rows_match_jn_table(self, nmax):
-        # series rows at omega = 1, -1 and product rows at omega = 2, 0, -2
+        # the forms whose tails quadrature._hankel_tails integrates, pointwise:
+        # series rows h e^{iy} + conj(h) e^{-iy} against a j_n table, and
+        # the bilinear product form sum_{w1,w2} H_w1 P_{w1+w2} H_w2^T / R,
+        # P_w[m1, m2] = e^{iwy} R^{m1+m2-1} y^{-(m1+m2)}, against its products
         radius = 8 * math.pi
+        h = specfun._hankel_table(nmax, radius)
         rng = np.random.default_rng(nmax)
         a = rng.normal(size=(3, nmax + 1)) + 1j * rng.normal(size=(3, nmax + 1))
-        b = rng.normal(size=(3, nmax + 1))
         y = np.concatenate([np.linspace(radius, 4 * radius, 101),
                             -np.linspace(radius, 4 * radius, 101)])
         table = specfun._jn_table(nmax, y)
-
-        def rows(omegas, coeffs):
-            m = np.arange(coeffs.shape[-1])
-            powers = (radius / y[:, None]) ** (m - 1) / y[:, None]  # R^{m-1} y^{-m}
-            return sum(np.exp(1j * w * y) * (coeffs[:, i] @ powers.T)
-                       for i, w in enumerate(omegas))
-
-        omegas, coeffs = specfun._hankel_laurent(radius, a)
-        assert omegas == (1, -1) and coeffs.shape == (3, 2, nmax + 2)
-        assert np.max(np.abs(rows(omegas, coeffs) - a @ table) * np.abs(y)) < 1e-13
-        omegas, coeffs = specfun._hankel_laurent(radius, a, b)
-        assert omegas == (2, 0, -2) and coeffs.shape == (3, 3, 2 * nmax + 3)
-        want = (a @ table) * (b @ table)
-        assert np.max(np.abs(rows(omegas, coeffs) - want) * y * y) < 1e-13
+        m = np.arange(nmax + 2)
+        powers = (radius / y[:, None]) ** (m - 1) / y[:, None]  # R^{m-1} y^{-m}
+        series = np.exp(1j * y) * (h @ powers.T) + np.exp(-1j * y) * (h.conj() @ powers.T)
+        assert np.max(np.abs(a @ series - a @ table) * np.abs(y)) < 1e-13
+        pairs = np.add.outer(m, m)
+        for i, x in enumerate(y):
+            p = (radius / x) ** (pairs - 1) / x  # R^{m1+m2-1} x^{-(m1+m2)}
+            got = sum(hw1 @ (np.exp(1j * (w1 + w2) * x) * p) @ hw2.T
+                      for w1, hw1 in ((1, h), (-1, h.conj()))
+                      for w2, hw2 in ((1, h), (-1, h.conj()))) / radius
+            want = np.outer(table[:, i], table[:, i])
+            assert np.max(np.abs(got - want)) * x * x < 1e-13
 
     def test_shape_and_zero_pattern(self):
         h = specfun._hankel_table(5, 30.0)

@@ -596,6 +596,53 @@ class TestExactSeriesPath:
         assert same_bits(bessel_projection(g, 4, loose).coeffs,
                          bessel_projection(g, 4, TransformConfig()).coeffs)
 
+    def test_results_depend_only_on_inputs(self):
+        # the cached moments are a function of the order alone: a cold cache,
+        # and one filled by other orders on this and a fresh config, give
+        # the same bits, and nobody can write into a cached array
+        g = BesselSeries([0.5, -0.3j, 0.9])
+        cfg = TransformConfig()
+        bandlim.transform._line_moments.cache_clear()
+        cold = bessel_projection(g, 4, cfg).coeffs, calibrate_normalization(cfg, 4)
+        for config in (cfg, TransformConfig()):
+            for nmax in (2, 7, 12):
+                bessel_projection(BesselSeries([1.0, 0.2j]), nmax, config)
+            for mode in (0, 2, 6, 16):
+                calibrate_normalization(config, mode)
+        for config in (cfg, TransformConfig()):
+            assert same_bits(bessel_projection(g, 4, config).coeffs, cold[0])
+            assert calibrate_normalization(config, 4) == cold[1]
+        v, gram = bandlim.transform._line_moments(4)
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+        with pytest.raises(ValueError):
+            gram[0, 0] = 1.0
+
+    @pytest.mark.parametrize("order", [16, 32, 64, 128])
+    def test_line_moments_against_exact(self, order):
+        # int j_n dy = pi |P_n(0)| = pi C(n, n/2) / 2^n for even n, 0 for odd
+        # n, and int j_a j_b dy = pi / (2a+1) delta_ab
+        v, gram = bandlim.transform._line_moments(order)
+        n = np.arange(order + 1)
+        want = [math.pi * math.comb(k, k // 2) / 2.0 ** k if k % 2 == 0 else 0.0 for k in n]
+        assert np.max(np.abs(v - want)) < 1e-13
+        assert np.max(np.abs(gram - np.diag(math.pi / (2 * n + 1)))) < 1e-13
+
+    def test_calibration_is_two_pi_to_max_order(self):
+        cfg = TransformConfig()
+        errors = [abs(calibrate_normalization(cfg, mode) - 2 * math.pi)
+                  for mode in range(0, 129, 2)]
+        assert max(errors) < 1e-12
+
+    @pytest.mark.parametrize("degree", [32, 64, 128])
+    def test_projection_recovers_high_degree(self, degree):
+        # degree 128 needs 1304 core segments
+        rng = np.random.default_rng(degree)
+        c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        cfg = TransformConfig(line_params=LineIntegralParams(max_segments=1304))
+        got = bessel_projection(BesselSeries(c), degree, cfg).coeffs
+        assert np.max(np.abs(got - c)) < 1e-12
+
     def test_segment_cap(self):
         # nmax 70 needs 392 core segments (R = 98 * 2 pi >= 70^2 / 8), 71 needs 404
         g = BesselSeries([2.0])
