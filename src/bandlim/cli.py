@@ -224,9 +224,7 @@ def _cmd_calibrate(args):
 def _cmd_solve_ode(args):
     config = _build_config(args)
     op = operator_from_json(_read_json(args.op))
-    h = series_from_json(_read_json(getattr(args, "in")))
-    if not isinstance(h, BesselSeries):
-        raise BandlimError("solve-ode requires a bessel series document for h")
+    h = _load(getattr(args, "in"), BesselSeries)
     bundle = solve(op, h, args.nmax, config,
                    residual_threshold=args.residual_threshold)
     report = {

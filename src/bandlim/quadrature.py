@@ -249,7 +249,7 @@ def _hankel_radius(order, max_segments=None, labels=None):
     of four length-pi segments, which keeps the Hankel expansion free of
     cancellation and |omega R| above every m.  If the core needs more than
     max_segments segments, raises ConvergenceError naming t = 0, the number
-    of segments and labels, the rows.
+    of segments and labels, an iterable of the rows' names read only then.
     """
     chunk = _CORE_CHUNK_PERIODS * _SEGMENT
     nchunks = math.ceil(2.0 * max(_HANKEL_MIN_RADIUS, order * order / 8.0) / chunk)
@@ -403,8 +403,9 @@ def _line_rows(envelope, t, params, labels=None):
     its successive accelerated values agree to params.tol relatively, so it
     gets exactly the value and history of a one-row call on its envelope
     values and t_i, and the first row still open fails as that call does:
-    ConvergenceError naming its t_i, and labels[i] for each open row i, once
-    max_segments is exhausted, with its last two values.
+    ConvergenceError naming its t_i, and the name of each open row from
+    labels, an iterable of row names read only then, once max_segments is
+    exhausted, with its last two values.
     """
     t = np.asarray(t, dtype=float)
     abs_t = float(np.max(np.abs(t)))
@@ -459,7 +460,8 @@ def _line_rows(envelope, t, params, labels=None):
                 return
             history = [history[-1][~done]]
         history.append(est)
-    named = "" if labels is None else " for " + ", ".join(labels[i] for i in pending)
+    names = None if labels is None else list(labels)
+    named = "" if names is None else " for " + ", ".join(names[i] for i in pending)
     raise ConvergenceError(
         f"line integral at t={float(row_t[pending[0]])!r} did not converge to "
         f"tol={params.tol} within {params.max_segments} segments{named}",

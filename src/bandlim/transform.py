@@ -5,9 +5,9 @@ Forward:  g(z) = int_-1^1 f(t) e^{izt} dt          (exact, no quadrature)
 Inverse:  f(t) = (1/C) int_-inf^inf g(y) e^{-iyt} dy   for |t| < 1
 
 The printed source constant for C is 4; the divisor actually required to
-make the inverse undo the forward is measured by calibrate_normalization
-(it comes out at 2 pi).  Both conventions are supported and the measured
-value is always reported rather than assumed.
+make the inverse undo the forward, C*, is measured from the cached line
+moments (calibrate_normalization; it comes out at 2 pi).  Both conventions
+are supported and the measured value is always reported rather than assumed.
 
 Coefficient dictionaries: by Bauer's expansion e^{izt} = sum (2n+1) i^n
 P_n(t) j_n(z), the forward transform of the Legendre series f = sum cbar_n P_n
@@ -15,11 +15,13 @@ is exactly the Bessel series g = sum c_n j_n with c_n = 2 i^n cbar_n.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvalidRuleError, RuleTooSmallError
+from .errors import (ConvergenceError, DomainError, InvalidOrderError, InvalidRuleError,
+                     RuleTooSmallError)
 from .quadrature import (LineIntegralParams, QuadratureRule, _eval_integrand,
                          _hankel_core, _hankel_radius, _hankel_tails, _line_integrals,
                          _line_rows, gauss_legendre_rule)
@@ -43,36 +45,37 @@ def _as_coeffs(coeffs, what="coefficients"):
 
 
 @dataclass(frozen=True)
-class LegendreSeries:
-    """f(t) = sum_n coeffs[n] P_n(t), defined for |t| <= 1."""
+class _Series:
+    """The coefficients of a series of order at most MAX_ORDER."""
 
     coeffs: np.ndarray
-    kind = "legendre"
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
+        coeffs = _as_coeffs(self.coeffs)
+        if coeffs.size > MAX_ORDER + 1:
+            raise InvalidOrderError(f"series of order {coeffs.size - 1} outside "
+                                    f"supported range [0, {MAX_ORDER}]")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self):
         return self.coeffs.size
+
+
+class LegendreSeries(_Series):
+    """f(t) = sum_n coeffs[n] P_n(t), defined for |t| <= 1."""
+
+    kind = "legendre"
 
     def __call__(self, t):
         p = legendre_all(len(self) - 1, t)
         return np.tensordot(self.coeffs, p, axes=(0, 0))[()]  # 0-d: a scalar
 
 
-@dataclass(frozen=True)
-class BesselSeries:
+class BesselSeries(_Series):
     """g(z) = sum_n coeffs[n] j_n(z), defined for all real z, summed in order
     n = 0..N at every z, so that no value's bits depend on the shape of z."""
 
-    coeffs: np.ndarray
     kind = "bessel"
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
-
-    def __len__(self):
-        return self.coeffs.size
 
     def __call__(self, z):
         if not np.all(np.isfinite(z)):
@@ -96,32 +99,31 @@ def coeff_unbar(series):
     return BesselSeries(series.coeffs * 2.0 * 1j ** n)
 
 
+@dataclass(frozen=True, eq=False)
 class TransformConfig:
-    """Normalization convention, line-integral tuning, and compact rule.
+    """Normalization convention, line-integral tuning, and compact rule; no
+    computed state: divisor() reads C* from the cached line moments."""
 
-    The measured inverse divisor C* is computed on first use and cached.  It
-    comes from the cached line moments (_line_moments), which read no line
-    parameter, so it is 2 pi to rounding and the same bits on every config,
-    and a duplicated lazy computation under concurrency is harmless.
-    """
+    normalization: str = CALIBRATED
+    line_params: LineIntegralParams = None
+    compact_rule: QuadratureRule = None
 
-    def __init__(self, normalization=CALIBRATED, line_params=None, compact_rule=None):
-        if normalization not in (CALIBRATED, PAPER_QUARTER):
-            raise DomainError(f"unknown normalization {normalization!r}")
-        self.normalization = normalization
-        self.line_params = line_params if line_params is not None else LineIntegralParams()
+    def __post_init__(self):
+        if self.normalization not in (CALIBRATED, PAPER_QUARTER):
+            raise DomainError(f"unknown normalization {self.normalization!r}")
+        if self.line_params is None:
+            object.__setattr__(self, "line_params", LineIntegralParams())
         if not isinstance(self.line_params, LineIntegralParams):
             raise InvalidRuleError("line_params must be a LineIntegralParams")
-        self.compact_rule = (compact_rule if compact_rule is not None
-                             else gauss_legendre_rule(_DEFAULT_COMPACT_POINTS))
+        if self.compact_rule is None:
+            object.__setattr__(self, "compact_rule",
+                               gauss_legendre_rule(_DEFAULT_COMPACT_POINTS))
         if not isinstance(self.compact_rule, QuadratureRule):
             raise InvalidRuleError("compact_rule must be a QuadratureRule")
-        self._c_star = None
 
     def divisor(self):
-        if self.normalization == PAPER_QUARTER:
-            return PAPER_C
-        return calibrate_normalization(self)
+        """The inverse's C: PAPER_C, or the measured mode-0 C*."""
+        return PAPER_C if self.normalization == PAPER_QUARTER else _measured_divisor(0)
 
 
 def _as_legendre(f, rule):
@@ -148,6 +150,7 @@ def inverse_transform(g, t, config):
     if not np.all(np.abs(t) < 1.0):  # NaN fails too
         raise DomainError(
             f"inverse_transform: |t| = {np.max(np.abs(t))} not inside (-1, 1)")
+    divisor = config.divisor()
     points = t.ravel().tolist()
     grid = set(points)
     outcomes = {}  # t -> its integral, or the error its stack gave it
@@ -167,8 +170,14 @@ def inverse_transform(g, t, config):
                                    last_values=raw.last_values) from raw
         if isinstance(raw, ArithmeticError):
             raise raw
-        values.flat[i] = complex(raw) / config.divisor()  # Python division: exact bits
+        values.flat[i] = complex(raw) / divisor  # Python division: exact bits
     return values[()]  # 0-d: a scalar
+
+
+def _measured_divisor(mode):
+    """C* = 2^(mode+1) v[mode] / C(mode, mode/2) of an even mode, from the
+    cached line moments v (_line_moments)."""
+    return math.ldexp(_line_moments(mode)[0][mode], mode + 1) / math.comb(mode, mode // 2)
 
 
 def calibrate_normalization(config, mode=0):
@@ -176,29 +185,19 @@ def calibrate_normalization(config, mode=0):
 
     The forward transform of P_mode is exactly 2 i^mode j_mode
     (coeff_unbar); its integral over the line at t = 0, divided by the value
-    P_mode(0) that the inverse must reproduce, is C* = 2 i^mode v[mode] /
-    P_mode(0), with v[mode] = int j_mode dy from the cached line moments
-    (_line_moments): one j_n table per order in a process, so C* is 2 pi to
-    rounding and its bits depend only on mode.  It reads no line parameter:
-    no tolerance applies, and no segment cap, so that the divisor never
+    P_mode(0) = i^mode C(mode, mode/2) / 2^mode that the inverse must
+    reproduce, is C* = 2^(mode+1) v[mode] / C(mode, mode/2), with v[mode] =
+    int j_mode dy from the cached line moments (_line_moments), which
+    TransformConfig.divisor reads too: C* is 2 pi to rounding and its bits
+    depend only on mode.  It reads nothing of config, so the divisor never
     fails where an inverse's own integrals would converge (the core is 16
-    segments up to mode 14, 1304 at mode 128).  The compact rule plays no
-    part either.  mode must be even so that P_mode(0) is nonzero.  The
-    mode-0 result is cached on the config.
+    segments up to mode 14, 1304 at mode 128).  mode must be even so that
+    P_mode(0) is nonzero.
     """
     mode = _check_order(mode)
     if mode % 2:
         raise DomainError("calibration mode must be even (P_n(0) = 0 for odd n)")
-    if mode == 0 and config._c_star is not None:
-        return config._c_star
-    expected = float(legendre_all(mode, 0.0)[mode])
-    # 2 i^mode v[mode] / P_mode(0), with i^mode = (-1)^(mode/2) for even mode
-    c_star = 2.0 * (-1) ** (mode // 2) * _line_moments(mode)[0][mode] / expected
-    if c_star <= 0:
-        raise DomainError(f"calibration produced non-positive divisor {c_star}")
-    if mode == 0:
-        config._c_star = c_star
-    return c_star
+    return _measured_divisor(mode)
 
 
 def legendre_projection(f, nmax, rule):
@@ -240,32 +239,30 @@ def _line_moments(order):
 
 
 def bessel_projection(g, nmax, config):
-    """Bessel coefficients c_n = int g(y) j_n(y) dy / K_n, K_n = int j_n^2 dy
-    measured, n = 0..nmax.
+    """Bessel coefficients c_n = int g(y) j_n(y) dy / K_n, n = 0..nmax, with
+    the norms K_n = int j_n^2 dy = pi / (2n+1) the diagonal of the Gram
+    matrix M of the cached line moments (_line_moments).
 
-    For a BesselSeries g of degree N every integral is an entry of the
-    cached Gram matrix M of _line_moments(max(N, nmax)): c = g.coeffs M[:N+1,
-    :nmax+1] / diag(M), exact to rounding, with no accelerator and no use
-    of tol, and its bits depend only on g and nmax.  A core of more than
-    max_segments segments (_hankel_radius) raises ConvergenceError naming
-    the rows c_n and K_n.  A vectorized callable g takes the accelerated
-    line engine, every projection g j_n and norm j_n^2 a row of one stacked
-    integral, so the result depends only on g, nmax and the line parameters.
+    For a BesselSeries g of degree N every integral is an entry of M at
+    order max(N, nmax): c = g.coeffs M[:N+1, :nmax+1] / diag(M), exact to
+    rounding, with no accelerator and no use of tol, and its bits depend
+    only on g and nmax.  A core of more than max_segments segments
+    (_hankel_radius) raises ConvergenceError naming the rows c_n and K_n.
+    A vectorized callable g takes the accelerated line engine, every
+    projection g j_n a row of one stacked integral, divided by diag(M) at
+    order nmax, so the result depends only on g, nmax and the line
+    parameters.
     """
     nmax = _check_order(nmax)
-    labels = [f"{row}_{n}" for row in "cK" for n in range(nmax + 1)]
     if isinstance(g, BesselSeries):
         order = max(len(g) - 1, nmax)
-        _hankel_radius(order, config.line_params.max_segments, labels)
+        _hankel_radius(order, config.line_params.max_segments,
+                       (f"{row}_{n}" for row in "cK" for n in range(nmax + 1)))
         gram = _line_moments(order)[1]
         return BesselSeries(g.coeffs @ gram[:len(g), :nmax + 1] / np.diag(gram)[:nmax + 1])
-
-    def env(y):
-        table = _jn_table(nmax, y)
-        return np.concatenate([_eval_integrand(g, y) * table, table ** 2])
-
-    raw = _line_integrals(env, 0.0, config.line_params, labels)
-    return BesselSeries(raw[:nmax + 1] / raw[nmax + 1:].real)
+    raw = _line_integrals(lambda y: _eval_integrand(g, y) * _jn_table(nmax, y), 0.0,
+                          config.line_params, (f"c_{n}" for n in range(nmax + 1)))
+    return BesselSeries(raw / np.diag(_line_moments(nmax)[1]))
 
 
 def bauer_partial_sum(z, t, order):
@@ -302,7 +299,7 @@ def orthogonality_matrix_j(nmax, params=None):
         table = _jn_table(nmax, y)
         return table[iu] * table[ju]
 
-    labels = [f"G[{n}, {m}]" for n, m in zip(iu, ju)]
+    labels = (f"G[{n}, {m}]" for n, m in zip(iu, ju))
     gram = np.zeros((nmax + 1, nmax + 1))
     gram[iu, ju] = gram[ju, iu] = _line_integrals(env, 0.0, params, labels).real
     return gram

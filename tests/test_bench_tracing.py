@@ -57,3 +57,6 @@ def test_traced_calls_give_every_per_layer_metric():
                  "transform.bessel_projection.calls", "transform.calibrate.calls",
                  "cli.commands", "cli.bytes_out"):
         assert metrics[name]["value"] >= 1, name
+    # only the two explicit calibrations count: an inverse reads its divisor
+    # from the cached moments without calibrating
+    assert metrics["transform.calibrate.calls"]["value"] == 2

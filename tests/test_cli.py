@@ -9,6 +9,7 @@ import pytest
 
 import bandlim.cli
 from bandlim.cli import build_parser, main
+from bandlim.transform import LegendreSeries, coeff_unbar
 
 
 def run(capsys, *argv):
@@ -142,8 +143,8 @@ class TestTransformCommands:
 
 
 class TestLegendreInput:
-    """inverse, roundtrip and project-bessel read a Legendre document as
-    its exact Bessel series c_n = 2 i^n cbar_n; forward and
+    """inverse, roundtrip, project-bessel and solve-ode read a Legendre
+    document as its exact Bessel series c_n = 2 i^n cbar_n; forward and
     project-legendre read a Bessel document as its Legendre series."""
 
     @pytest.mark.parametrize("argv", [("inverse", "--t", "0.25"),
@@ -158,6 +159,21 @@ class TestLegendreInput:
         assert code == 0
         code, got, _ = run(capsys, *argv, "--in", leg, "--out", "-")
         assert code == 0
+        assert got == want
+
+    def test_solve_ode_reads_legendre_document(self, capsys, tmp_path):
+        # h as a Legendre document maps exactly to its Bessel series
+        cbar = [0.5 - 0.25j, 1.5j, -0.75 + 1.0j]
+        leg = write_series(tmp_path, "f.json", "legendre", cbar)
+        bes = write_series(tmp_path, "g.json", "bessel",
+                           coeff_unbar(LegendreSeries(cbar)).coeffs)
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"op": [[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}))
+        argv = ("solve-ode", "--op", str(op), "--z-steps", "5", "--out", "-")
+        code, want, _ = run(capsys, *argv, "--in", bes)
+        assert code == 0
+        code, got, err = run(capsys, *argv, "--in", leg)
+        assert code == 0 and err == ""
         assert got == want
 
     def test_complex_degree_two(self, capsys, tmp_path):
@@ -356,14 +372,17 @@ class TestPlumbing:
         code, got, _ = run(capsys, *argv, "--in", "-")
         assert code == 0 and got == want
 
-    def test_solve_ode_refuses_legendre_document(self, capsys, tmp_path):
-        h = write_series(tmp_path, "h.json", "legendre", [1.0])
-        op = tmp_path / "op.json"
-        op.write_text(json.dumps({"op": [[1.0, 0.0]]}))
-        code, out, err = run(capsys, "solve-ode", "--op", str(op), "--in", h,
-                             "--z", "0", "--out", "-")
+    @pytest.mark.parametrize("kind", ["bessel", "legendre"])
+    @pytest.mark.parametrize("argv", [("inverse", "--t", "0.3"),
+                                      ("forward", "--z", "1"),
+                                      ("project-bessel", "--nmax", "2",
+                                       "--max-segments", "100000")])
+    def test_series_above_max_order_refused(self, capsys, tmp_path, kind, argv):
+        # 130 coefficients: order 129, one past the supported 128
+        doc = write_series(tmp_path, "long.json", kind, [1.0] * 130)
+        code, out, err = run(capsys, *argv, "--in", doc, "--out", "-")
         assert code == 1 and out == ""
-        assert "bessel" in err
+        assert err == "bandlim: series of order 129 outside supported range [0, 128]\n"
 
 
 # the config flags each command reads; --out is on every command

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 import bandlim.quadrature
 import bandlim.transform
 from bandlim import (PAPER_QUARTER, BesselSeries, ConvergenceError,
-                     DifferentialOperator, DomainError, InvalidRuleError,
-                     LegendreSeries, LineIntegralParams, RuleTooSmallError,
-                     TransformConfig, apply_operator, bauer_partial_sum,
-                     bessel_projection, calibrate_normalization, coeff_bar,
-                     coeff_unbar, forward_transform, gauss_legendre_rule,
+                     DifferentialOperator, DomainError, InvalidOrderError,
+                     InvalidRuleError, LegendreSeries, LineIntegralParams,
+                     RuleTooSmallError, TransformConfig, apply_operator,
+                     bauer_partial_sum, bessel_projection,
+                     calibrate_normalization, coeff_bar, coeff_unbar,
+                     forward_transform, gauss_legendre_rule,
                      integrate_oscillatory_line, inverse_transform,
                      legendre_projection, orthogonality_matrix_j, roundtrip,
                      series_from_json, series_to_json, solve, spherical_j)
-from bandlim.specfun import _jn_table
+from bandlim.specfun import MAX_ORDER, _jn_table
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,12 @@ class TestSeriesTypes:
             LegendreSeries([])
         with pytest.raises(DomainError):
             BesselSeries([1.0, math.nan])
+
+    @pytest.mark.parametrize("cls", [LegendreSeries, BesselSeries])
+    def test_order_above_max_refused(self, cls):
+        assert len(cls(np.ones(MAX_ORDER + 1))) == MAX_ORDER + 1
+        with pytest.raises(InvalidOrderError, match="order 129"):
+            cls(np.ones(MAX_ORDER + 2))
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(BesselSeries([2.0])(1.0), complex)
@@ -172,6 +179,30 @@ class TestCalibration:
     def test_line_params_must_be_line_integral_params(self, params):
         with pytest.raises(InvalidRuleError, match="LineIntegralParams"):
             TransformConfig(line_params=params)
+
+    def test_config_keeps_no_computed_state(self):
+        # inverses and calibrations at every even mode leave a config
+        # attribute for attribute equal to a fresh one
+        cfg = TransformConfig()
+        inverse_transform(BesselSeries([2.0, 0.5j]), np.array([0.3, -0.3, 0.6]), cfg)
+        for mode in range(0, 129, 2):
+            calibrate_normalization(cfg, mode)
+        fresh = TransformConfig()
+        assert set(vars(cfg)) == set(vars(fresh)) == {
+            "normalization", "line_params", "compact_rule"}
+        assert cfg.normalization == fresh.normalization
+        assert cfg.line_params == fresh.line_params
+        assert same_bits(cfg.compact_rule.nodes, fresh.compact_rule.nodes)
+        assert same_bits(cfg.compact_rule.weights, fresh.compact_rule.weights)
+        assert cfg.divisor() == fresh.divisor() == calibrate_normalization(fresh)
+
+    @pytest.mark.parametrize("field", ["normalization", "line_params", "compact_rule"])
+    def test_config_is_frozen(self, field):
+        cfg = TransformConfig()
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, getattr(cfg, field))
+        with pytest.raises(AttributeError):
+            cfg._cache = 1.0
 
 
 class TestProjections:
@@ -380,14 +411,14 @@ class TestStackedIntegrals:
                 assert gram[n, m] == gram[m, n] == want
 
     def test_projection_rows_equal_one_row_calls(self):
-        # a bare callable takes the stacked engine; a BesselSeries would not
+        # a bare callable takes the stacked engine for its rows g j_n, and
+        # divides them by the norms K_n of the cached moments
         cfg = TransformConfig()
         g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j, 0.2])
         got = bessel_projection(lambda y: g(y), 4, cfg).coeffs
         raw = [integrate_oscillatory_line(lambda y: g(y) * _jn_table(4, y)[n], 0.0)
                for n in range(5)]
-        norms = [integrate_oscillatory_line(lambda y: _jn_table(4, y)[n] ** 2, 0.0).real
-                 for n in range(5)]
+        norms = np.diag(bandlim.transform._line_moments(4)[1])
         assert same_bits(got, np.array(raw) / norms)
 
     def test_one_engine_call_each(self, monkeypatch):
@@ -396,14 +427,36 @@ class TestStackedIntegrals:
         assert len(calls) == 1
         cfg = TransformConfig()
         g = BesselSeries([0.5, -0.3j, 0.9])
-        bessel_projection(lambda y: g(y), 4, cfg)  # measures K_0..K_4 in the same call
+        bessel_projection(lambda y: g(y), 4, cfg)  # the rows g j_0 .. g j_4 only
         bessel_projection(lambda y: g(y), 4, cfg)
         assert len(calls) == 3
 
+    def test_callable_projection_integrates_only_its_rows(self, monkeypatch):
+        rows = []
+        engine = bandlim.transform._line_integrals
+
+        def integrals(envelope, t, params, labels=None):
+            raw = engine(envelope, t, params, labels)
+            rows.append(raw)
+            return raw
+        monkeypatch.setattr(bandlim.transform, "_line_integrals", integrals)
+        g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j, 0.2])
+        got = bessel_projection(lambda y: g(y), 6, TransformConfig()).coeffs
+        assert len(rows) == 1 and rows[0].shape == (7,)
+        norms = np.diag(bandlim.transform._line_moments(6)[1])
+        assert same_bits(got, rows[0] / norms)
+
+    def test_callable_projection_names_only_its_rows(self):
+        with pytest.raises(ConvergenceError) as info:
+            bessel_projection(lambda y: np.cos(y), 1, TransformConfig(
+                line_params=LineIntegralParams(tol=1e-16, max_segments=12)))
+        assert str(info.value).endswith("for c_0, c_1")
+
     @pytest.mark.parametrize("earlier", [5, 6, 7])
     def test_projection_independent_of_call_history(self, earlier):
-        # a projection measures its own norms K_n: an earlier projection of
-        # higher degree on the same config leaves its result unchanged
+        # the norms K_n come from the cached moments, a function of the
+        # order alone: an earlier projection of higher degree on the same
+        # config leaves a result unchanged
         g = BesselSeries([0.5, -0.3j, 0.9])
         fresh = bessel_projection(g, 4, TransformConfig()).coeffs
         cfg = TransformConfig()
@@ -433,8 +486,10 @@ class TestStackedIntegrals:
 
 def pointwise_inverse(g, t, config):
     """The inverse as one line integral per point in flat order, each
-    divided by the divisor in Python: the loop the stacks replace."""
+    divided in Python by the divisor taken once up front: the loop the
+    stacks replace."""
     t = np.asarray(t, dtype=float)
+    divisor = config.divisor()
     values = np.empty(t.shape, dtype=complex)
     for i, s in enumerate(t.flat):
         try:
@@ -442,7 +497,7 @@ def pointwise_inverse(g, t, config):
         except ConvergenceError as exc:
             raise ConvergenceError(f"inverse_transform at grid index {i}: {exc}",
                                    last_values=exc.last_values) from exc
-        values.flat[i] = raw / config.divisor()
+        values.flat[i] = raw / divisor
     return values[()]
 
 
@@ -494,12 +549,12 @@ class TestInverseStacks:
            g=st.sampled_from([G3, G4]),
            params=st.sampled_from([(1e-9, 13), (1e-10, 18), (1e-9, 400)]),
            config_type=st.sampled_from([TransformConfig, FailingCalibration]))
-    # the |t| = 0.95 stack fails at 0.95 after -0.95 converged: first the
-    # failing divisor must surface, then grid index 1 of a later stack
+    # the |t| = 0.95 stack fails at 0.95 after -0.95 converged: a failing
+    # divisor surfaces before any integral, else grid index 1 of a later stack
     @example(t=[-0.95, 0.95], g=G4, params=(1e-9, 30), config_type=FailingCalibration)
     @example(t=[-0.95, -0.97, 0.95], g=G4, params=(1e-9, 30), config_type=TransformConfig)
     def test_grid_errors_equal_pointwise(self, t, g, params, config_type):
-        # a fresh config each: both compute the divisor where they need it
+        # a fresh config each: both take the divisor before any integral
         params = LineIntegralParams(*params)
         assert (inverse_outcome(inverse_transform, g, t, config_type(line_params=params))
                 == inverse_outcome(pointwise_inverse, g, t, config_type(line_params=params)))
