@@ -46,9 +46,7 @@ def _write_text(path, text):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "".join(",".join(row) + "\n" for row in [header, *rows]))
 
 
 def _write_json(path, obj):
@@ -211,8 +209,7 @@ def _cmd_ortho_check(args):
 
 
 def _cmd_calibrate(args):
-    config = _build_config(args)
-    c_star = calibrate_normalization(config)
+    c_star = calibrate_normalization(_build_config(args))
     _write_json(args.out, {
         "C_star": c_star,
         "paper_C": PAPER_C,
@@ -227,14 +224,12 @@ def _cmd_solve_ode(args):
     h = _load(getattr(args, "in"), BesselSeries)
     bundle = solve(op, h, args.nmax, config,
                    residual_threshold=args.residual_threshold)
-    report = {
+    zs = _grid(args, "z")
+    _write_json(args.out, {
         "f_series": series_to_json(bundle.f_series),
         "residual": bundle.residual_report,
-    }
-    zs = _grid(args, "z")
-    gs = bundle.g_at(zs)
-    report["g"] = [[float(z), float(g.real), float(g.imag)] for z, g in zip(zs, gs)]
-    _write_json(args.out, report)
+        "g": [[float(z), float(g.real), float(g.imag)] for z, g in zip(zs, bundle.g_at(zs))],
+    })
     return 0
 
 
@@ -275,7 +270,7 @@ def build_parser():
     p = sub.add_parser("project-legendre", help="Legendre coefficients of a series")
     p.add_argument("--in", required=True, help="series JSON path")
     p.add_argument("--nmax", type=int, required=True)
-    _add_common(p, "npoints", "show-config")
+    _add_common(p, "show-config")
     p.set_defaults(fn=partial(_cmd_project, LegendreSeries, lambda f, nmax, config:
                               legendre_projection(f, nmax, config.compact_rule)))
 

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SingularSymbolError
 from .specfun import _check_order
 from .transform import (BesselSeries, LegendreSeries, _as_coeffs, _as_legendre,
-                        coeff_bar, coeff_unbar, forward_transform,
-                        legendre_projection)
+                        _check_rule, _coeffs_from_json, _coeffs_to_json, coeff_bar,
+                        coeff_unbar, forward_transform, legendre_projection)
 
 _SYMBOL_FLOOR = 1e-8
 _SYMBOL_SAMPLES = 512
@@ -70,9 +70,9 @@ def apply_operator(op, f, z, config):
 class SolutionBundle:
     """Result of a transform-domain solve.
 
-    f_series is the degree-nmax Legendre projection of the exact pointwise
-    ratio hhat/F; g_at is g, the forward transform of the ratio's interpolant
-    (a BesselSeries); residual_report = max |L g - h| over the check grid.
+    f_series: the first nmax + 1 Legendre coefficients of hhat/F's interpolant
+    at the compact rule's nodes; g_at: that interpolant's forward transform, a
+    BesselSeries; residual_report: max |L g - h| over the check grid.
     """
 
     f_series: LegendreSeries
@@ -102,22 +102,19 @@ def _check_symbol(op, rule):
 def solve(op, h, nmax, config, residual_threshold=None):
     """Solve L g = h for a finite Bessel series h by symbol division.
 
-    Raises SingularSymbolError if F(it) has a zero on [-1, 1]; raises
-    ConvergenceError if residual_threshold is given and the check-grid
-    residual exceeds it.
+    hhat/F is evaluated once, at the compact rule's nodes, which must number
+    at least nmax + 1 (RuleTooSmallError).  Raises SingularSymbolError if
+    F(it) has a zero on [-1, 1]; raises ConvergenceError if
+    residual_threshold is given and the check-grid residual exceeds it.
     """
     if not isinstance(h, BesselSeries):
         raise DomainError("h must be a BesselSeries")
     nmax = _check_order(nmax)
     _check_symbol(op, config.compact_rule)
-
+    _check_rule(config.compact_rule, nmax)
     hbar = coeff_bar(h)
-
-    def ratio(t):
-        return hbar(t) / op.symbol(t)
-
-    f_series = legendre_projection(ratio, nmax, config.compact_rule)
-    f = _as_legendre(ratio, config.compact_rule)
+    f = _as_legendre(lambda t: hbar(t) / op.symbol(t), config.compact_rule)
+    f_series = legendre_projection(f, nmax, config.compact_rule)
     lg = apply_operator(op, f, _CHECK_GRID, config)
     residual = float(np.max(np.abs(lg - h(_CHECK_GRID))))
     if residual_threshold is not None and residual > residual_threshold:
@@ -129,12 +126,8 @@ def solve(op, h, nmax, config, residual_threshold=None):
 
 def operator_to_json(op):
     """Exchange form {"op": [[re, im], ...]} listing a_0 .. a_K."""
-    return {"op": [[float(c.real), float(c.imag)] for c in op.coeffs]}
+    return {"op": _coeffs_to_json(op.coeffs)}
 
 
 def operator_from_json(obj):
-    try:
-        coeffs = [complex(float(re), float(im)) for re, im in obj["op"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed operator document: {exc}") from exc
-    return DifferentialOperator(coeffs)
+    return DifferentialOperator(*_coeffs_from_json("operator", obj, "op"))

@@ -67,36 +67,36 @@ class LegendreSeries(_Series):
     kind = "legendre"
 
     def __call__(self, t):
-        p = legendre_all(len(self) - 1, t)
-        return np.tensordot(self.coeffs, p, axes=(0, 0))[()]  # 0-d: a scalar
+        return _series_values(self.coeffs, legendre_all(len(self) - 1, t))
 
 
 class BesselSeries(_Series):
-    """g(z) = sum_n coeffs[n] j_n(z), defined for all real z, summed in order
-    n = 0..N at every z, so that no value's bits depend on the shape of z."""
+    """g(z) = sum_n coeffs[n] j_n(z), defined for all real z."""
 
     kind = "bessel"
 
     def __call__(self, z):
         if not np.all(np.isfinite(z)):
             raise DomainError("z must be finite")
-        table = _jn_table(len(self) - 1, z)
-        out = np.zeros(table.shape[1:], dtype=complex)
-        for c, j in zip(self.coeffs, table):
-            out += c * j
-        return out[()]  # 0-d: a scalar
+        return _series_values(self.coeffs, _jn_table(len(self) - 1, z))
+
+
+def _series_values(coeffs, table):
+    """sum_n coeffs[n] table[n] in order n = 0..N: no bits depend on the grid."""
+    out = np.zeros(table.shape[1:], dtype=complex)
+    for c, row in zip(coeffs, table):
+        out += c * row
+    return out[()]  # 0-d: a scalar
 
 
 def coeff_bar(series):
     """Map Bessel coefficients c_n to Legendre coefficients c_n / (2 i^n)."""
-    n = np.arange(len(series))
-    return LegendreSeries(series.coeffs / (2.0 * 1j ** n))
+    return LegendreSeries(series.coeffs / (2.0 * 1j ** np.arange(len(series))))
 
 
 def coeff_unbar(series):
     """Inverse of coeff_bar: cbar_n -> 2 i^n cbar_n."""
-    n = np.arange(len(series))
-    return BesselSeries(series.coeffs * 2.0 * 1j ** n)
+    return BesselSeries(series.coeffs * 2.0 * 1j ** np.arange(len(series)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,18 +200,23 @@ def calibrate_normalization(config, mode=0):
     return _measured_divisor(mode)
 
 
-def legendre_projection(f, nmax, rule):
-    """Legendre coefficients cbar_n = (2n+1)/2 int_-1^1 f(t) P_n(t) dt of a
-    vectorized callable f."""
-    nmax = _check_order(nmax)
+def _check_rule(rule, nmax):
     if len(rule) < nmax + 1:
-        raise RuleTooSmallError(
-            f"rule with {len(rule)} points cannot project to degree {nmax}")
+        raise RuleTooSmallError(f"rule with {len(rule)} points cannot project to degree {nmax}")
+
+
+def legendre_projection(f, nmax, rule):
+    """cbar_n = (2n+1)/2 int_-1^1 f(t) P_n(t) dt, n = 0..nmax: a LegendreSeries
+    f's own coefficients, truncated or zero-padded, whatever the rule; for a
+    vectorized callable f, a sum on the rule of at least nmax + 1 points."""
+    nmax = _check_order(nmax)
+    if isinstance(f, LegendreSeries):
+        return LegendreSeries(np.pad(f.coeffs[:nmax + 1], (0, max(0, nmax + 1 - len(f)))))
+    _check_rule(rule, nmax)
     vals = _eval_integrand(f, rule.nodes)
     p = legendre_all(nmax, rule.nodes)
     n = np.arange(nmax + 1)
-    coeffs = (2 * n + 1) / 2.0 * (p @ (rule.weights * vals))
-    return LegendreSeries(coeffs)
+    return LegendreSeries((2 * n + 1) / 2.0 * (p @ (rule.weights * vals)))
 
 
 @functools.cache
@@ -269,8 +274,7 @@ def bauer_partial_sum(z, t, order):
     """Partial sum sum_{n<=order} (2n+1) i^n P_n(t) j_n(z) of the plane wave
     e^{izt}."""
     order = _check_order(order)
-    z = float(z)
-    t = float(t)
+    z, t = float(z), float(t)
     if abs(t) > 1.0:
         raise DomainError(f"bauer_partial_sum: |t| = {abs(t)} > 1")
     p = legendre_all(order, t)
@@ -305,21 +309,29 @@ def orthogonality_matrix_j(nmax, params=None):
     return gram
 
 
+def _coeffs_to_json(coeffs):
+    return [[float(c.real), float(c.imag)] for c in coeffs]
+
+
+def _coeffs_from_json(what, obj, *keys):
+    """obj[key] for each key, the last read from [[re, im], ...] as complex."""
+    try:
+        *values, pairs = [obj[key] for key in keys]
+        return values + [[complex(float(re), float(im)) for re, im in pairs]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {what} document: {exc}") from exc
+
+
 def series_to_json(series):
     """Exchange form {"kind": ..., "coeffs": [[re, im], ...]}."""
     if not isinstance(series, (LegendreSeries, BesselSeries)):
         raise DomainError(f"not a series: {series!r}")
-    return {"kind": series.kind,
-            "coeffs": [[float(c.real), float(c.imag)] for c in series.coeffs]}
+    return {"kind": series.kind, "coeffs": _coeffs_to_json(series.coeffs)}
 
 
 def series_from_json(obj):
     """Parse the exchange form back into a series."""
-    try:
-        kind = obj["kind"]
-        coeffs = [complex(float(re), float(im)) for re, im in obj["coeffs"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed series document: {exc}") from exc
+    kind, coeffs = _coeffs_from_json("series", obj, "kind", "coeffs")
     for cls in (LegendreSeries, BesselSeries):
         if cls.kind == kind:
             return cls(coeffs)

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +142,29 @@ class TestTransformCommands:
         doc = json.loads(out)
         assert doc["residual"] < 1e-8
         assert doc["g"][0][1] == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+class TestProjectLegendre:
+    """project-legendre of a series document gives its own coefficients,
+    truncated or zero-padded to --nmax, and reads no compact rule."""
+
+    def test_p40_to_nmax_31_is_zero(self, capsys, tmp_path):
+        # on the 32-point rule, P_40 aliased onto cbar_24 = -0.778
+        path = write_series(tmp_path, "p40.json", "legendre", [0.0] * 40 + [1.0])
+        code, out, err = run(capsys, "project-legendre", "--in", path, "--nmax", "31",
+                             "--out", "-")
+        assert code == 0 and err == ""
+        assert json.loads(out)["coeffs"] == [[0.0, 0.0]] * 32
+
+    @pytest.mark.parametrize("nmax", [5, 40, 128])
+    def test_cubic_is_exact_at_every_nmax(self, capsys, tmp_path, nmax):
+        cbar = [0.5, -0.25j, 1.0 + 2.0j, -0.75]
+        path = write_series(tmp_path, "f.json", "legendre", cbar)
+        code, out, _ = run(capsys, "project-legendre", "--in", path,
+                           "--nmax", str(nmax), "--out", "-")
+        assert code == 0
+        want = [[c.real, c.imag] for c in map(complex, cbar)] + [[0.0, 0.0]] * (nmax - 3)
+        assert json.loads(out)["coeffs"] == want
 
 
 class TestLegendreInput:
@@ -394,7 +419,7 @@ ACCEPTED = {
     "gauss-rule": ("--npoints",),
     "forward": ("--show-config",),
     "inverse": ("--normalization", "--max-segments", "--show-config"),
-    "project-legendre": ("--npoints", "--show-config"),
+    "project-legendre": ("--show-config",),
     "project-bessel": ("--max-segments", "--show-config"),
     "bauer-check": (),
     "ortho-check": ("--max-segments", "--show-config"),
@@ -416,7 +441,7 @@ class TestConfigFlags:
             assert "--out" in options
             assert {f for f in CONFIG_FLAGS if f in options} == set(flags)
             slots += 1 + len(flags)
-        assert slots == 30
+        assert slots == 29
 
     @pytest.mark.parametrize("argv", [
         "eval-jn --n 1 --z 1 --npoints 8",
@@ -424,6 +449,7 @@ class TestConfigFlags:
         "calibrate --max-segments 50",
         "inverse --in {g} --t 0.25 --npoints 8",
         "forward --in {g} --z 1 --npoints 40",
+        "project-legendre --in {g} --nmax 2 --npoints 40",
     ], ids=lambda argv: argv.split()[0])
     def test_unread_flag_refused(self, capsys, tmp_path, argv):
         g = write_series(tmp_path, "g.json", "bessel", [2.0])
@@ -497,3 +523,17 @@ def test_inverse_grid_nonconvergence_names_point(capsys, tmp_path):
                          "--t-max", "1", "--t-steps", "3", "--out", "-")
     assert code == 2 and out == ""
     assert "grid index 2" in err and "t=0.999999999" in err
+
+
+def test_digest_corpus_is_valid():
+    # every entry of the digest corpus is an argv the parser accepts, and
+    # reads only documents committed next to it
+    corpus = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus"
+    lines = (corpus / "corpus.txt").read_text().splitlines()
+    entries = [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
+    assert len(entries) == 27
+    for argv in entries:
+        args = build_parser().parse_args(argv)
+        assert args.out == "-"
+        for path in (getattr(args, "in", None), getattr(args, "op", None)):
+            assert path is None or (corpus / path).is_file()

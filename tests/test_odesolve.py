@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import bandlim.odesolve
 from bandlim import (BesselSeries, ConvergenceError, DifferentialOperator,
-                     DomainError, LegendreSeries, SingularSymbolError,
-                     TransformConfig, apply_operator, forward_transform,
-                     gauss_legendre_rule, operator_from_json,
-                     operator_to_json, solve, symbol_eval)
+                     DomainError, LegendreSeries, RuleTooSmallError,
+                     SingularSymbolError, TransformConfig, apply_operator,
+                     coeff_bar, forward_transform, gauss_legendre_rule,
+                     operator_from_json, operator_to_json, solve, symbol_eval)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,31 @@ class TestSolve:
         want = np.zeros(5, dtype=complex)
         want[0] = 1.0
         np.testing.assert_allclose(sol.f_series.coeffs, want, atol=1e-13)
+
+    def test_ratio_evaluated_once(self, config, monkeypatch):
+        # hhat/F is sampled once, at the 32 compact nodes, and projected once
+        calls = []
+
+        class CountedSeries(LegendreSeries):
+            def __call__(self, t):
+                calls.append(np.shape(t))
+                return super().__call__(t)
+        monkeypatch.setattr(bandlim.odesolve, "coeff_bar",
+                            lambda h: CountedSeries(coeff_bar(h).coeffs))
+        solve(DifferentialOperator([1.0, 0.0, -1.0]), BesselSeries([2.0]), 16, config)
+        assert calls == [(32,)]
+
+    @pytest.mark.parametrize("nmax", [0, 7, 31])
+    def test_f_series_is_the_interpolant_truncated(self, config, nmax):
+        op = DifferentialOperator([1.5, 0.3 - 0.2j, -0.6])
+        sol = solve(op, BesselSeries([0.5 + 0.25j, -1.0 + 0.75j, 0.3 - 0.1j]), nmax, config)
+        want = coeff_bar(sol.g_at).coeffs[:nmax + 1]
+        assert sol.f_series.coeffs.tobytes() == want.tobytes()
+
+    def test_rule_must_cover_nmax(self, config):
+        rule = config.compact_rule
+        with pytest.raises(RuleTooSmallError, match=f"rule with {len(rule)} points"):
+            solve(DifferentialOperator([1.0]), BesselSeries([2.0]), len(rule), config)
 
     def test_h_type_checked(self, config):
         with pytest.raises(DomainError):

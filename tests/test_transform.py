@@ -76,6 +76,19 @@ class TestSeriesTypes:
         alone = np.array([g(float(s)) for s in z])
         assert same_bits(chunks, whole) and same_bits(alone, whole)
 
+    @pytest.mark.parametrize("degree", [0, 8, 31, 64, 128])
+    def test_legendre_values_independent_of_grid_shape(self, degree):
+        # the same ordered sum as BesselSeries: a point gets the same bits in
+        # a grid of 257, in a 2-d block and alone
+        rng = np.random.default_rng(degree)
+        f = LegendreSeries(rng.standard_normal(degree + 1)
+                           + 1j * rng.standard_normal(degree + 1))
+        t = np.linspace(-1.0, 1.0, 257)
+        whole = f(t)
+        block = f(t[:256].reshape(16, 16)).ravel()
+        alone = np.array([f(float(s)) for s in t])
+        assert same_bits(block, whole[:256]) and same_bits(alone, whole)
+
     def test_bar_unbar_roundtrip(self):
         g = BesselSeries([1 + 1j, 2.0, -3j, 0.5])
         back = coeff_unbar(coeff_bar(g))
@@ -212,6 +225,21 @@ class TestProjections:
         proj = legendre_projection(f, 5, rule)
         want = np.array([0, 0, 0, 1, 0, 0], dtype=complex)
         np.testing.assert_allclose(proj.coeffs, want, atol=1e-13)
+
+    @pytest.mark.parametrize("npoints", [1, 32, 200])
+    def test_legendre_projection_of_series_reads_no_rule(self, npoints):
+        # P_40 has no component of degree <= 31; sampling it on 32 points
+        # aliases P_40 onto cbar_24
+        p40 = LegendreSeries(np.eye(41)[40])
+        proj = legendre_projection(p40, 31, gauss_legendre_rule(npoints))
+        assert same_bits(proj.coeffs, np.zeros(32, dtype=complex))
+
+    @pytest.mark.parametrize("nmax", [5, 40, 128])
+    def test_legendre_projection_of_series_pads_with_zeros(self, nmax):
+        cbar = np.array([0.5, -0.25j, 1.0 + 2.0j, -0.75])
+        proj = legendre_projection(LegendreSeries(cbar), nmax, gauss_legendre_rule(32))
+        want = np.concatenate([cbar, np.zeros(nmax - 3, dtype=complex)])
+        assert same_bits(proj.coeffs, want)
 
     def test_rule_too_small(self):
         rule = gauss_legendre_rule(4)
