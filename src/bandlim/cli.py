@@ -101,12 +101,16 @@ _CONFIG_FLAGS = {
 }
 
 
-def _add_common(p, *flags):
+def _add_common(p, *flags, tol=False):
     """--out and the named _CONFIG_FLAGS; a command accepts only the config
-    flags it reads, and every other config field keeps its default."""
+    flags it reads, and every other config field keeps its default.
+    --show-config prints the knobs those flags set, and tol where the
+    command runs the accelerated line engine (tol=True)."""
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
+    knobs = [f.replace("-", "_") for f in flags if f != "show-config"] + ["tol"] * tol
     p.set_defaults(npoints=_DEFAULT_COMPACT_POINTS, normalization=CALIBRATED,
-                   max_segments=LineIntegralParams.max_segments)
+                   max_segments=LineIntegralParams.max_segments, show_config=False,
+                   knobs=knobs)
     for flag in flags:
         p.add_argument("--" + flag, **_CONFIG_FLAGS[flag])
 
@@ -117,12 +121,10 @@ def _build_config(args):
                              line_params=params,
                              compact_rule=gauss_legendre_rule(args.npoints))
     if args.show_config:
-        print(json.dumps({
-            "normalization": config.normalization,
-            "npoints": len(config.compact_rule),
-            "tol": params.tol,
-            "max_segments": params.max_segments,
-        }, indent=2), file=sys.stderr)
+        effective = {"normalization": config.normalization, "npoints": len(config.compact_rule),
+                     "tol": params.tol, "max_segments": params.max_segments}
+        print(json.dumps({k: v for k, v in effective.items() if k in args.knobs}, indent=2),
+              file=sys.stderr)
     return config
 
 
@@ -219,11 +221,9 @@ def _cmd_calibrate(args):
 
 
 def _cmd_solve_ode(args):
-    config = _build_config(args)
     op = operator_from_json(_read_json(args.op))
     h = _load(getattr(args, "in"), BesselSeries)
-    bundle = solve(op, h, args.nmax, config,
-                   residual_threshold=args.residual_threshold)
+    bundle = solve(op, h, args.nmax, None, residual_threshold=args.residual_threshold)
     zs = _grid(args, "z")
     _write_json(args.out, {
         "f_series": series_to_json(bundle.f_series),
@@ -258,19 +258,19 @@ def build_parser():
     p = sub.add_parser("forward", help="forward transform of a series on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "z", 0.0, 10.0)
-    _add_common(p, "show-config")
+    _add_common(p)
     p.set_defaults(fn=partial(_cmd_on_grid, LegendreSeries, forward_transform, "z"))
 
     p = sub.add_parser("inverse", help="inverse transform on a t grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "t", -1.0, 1.0)
-    _add_common(p, "normalization", "max-segments", "show-config")
+    _add_common(p, "normalization", "max-segments", "show-config", tol=True)
     p.set_defaults(fn=partial(_cmd_on_grid, BesselSeries, inverse_transform, "t"))
 
     p = sub.add_parser("project-legendre", help="Legendre coefficients of a series")
     p.add_argument("--in", required=True, help="series JSON path")
     p.add_argument("--nmax", type=int, required=True)
-    _add_common(p, "show-config")
+    _add_common(p)
     p.set_defaults(fn=partial(_cmd_project, LegendreSeries, lambda f, nmax, config:
                               legendre_projection(f, nmax, config.compact_rule)))
 
@@ -294,18 +294,18 @@ def build_parser():
                    help="off-diagonal ceiling")
     p.add_argument("--diag-rel-tol", type=_threshold, default=1e-4,
                    help="relative spread ceiling for K_n (2n+1)")
-    _add_common(p, "max-segments", "show-config")
+    _add_common(p, "max-segments", "show-config", tol=True)
     p.set_defaults(fn=_cmd_ortho_check)
 
     p = sub.add_parser("calibrate", help="measure the inverse divisor C*")
-    _add_common(p, "show-config")
+    _add_common(p)
     p.set_defaults(fn=_cmd_calibrate)
 
     p = sub.add_parser("roundtrip", help="inverse-then-forward on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "z", 0.0, 10.0)
-    _add_common(p, "npoints", "normalization", "max-segments",
-                "show-config")
+    _add_common(p, "npoints", "normalization", "max-segments", "show-config",
+                tol=True)
     p.set_defaults(fn=partial(_cmd_on_grid, BesselSeries, roundtrip, "z"))
 
     p = sub.add_parser("solve-ode", help="solve L g = h by symbol division")
@@ -314,7 +314,7 @@ def build_parser():
     p.add_argument("--nmax", type=int, default=16)
     p.add_argument("--residual-threshold", type=_threshold, default=None)
     _add_grid_flags(p, "z", -10.0, 10.0, 9)
-    _add_common(p, "npoints", "show-config")
+    _add_common(p)
     p.set_defaults(fn=_cmd_solve_ode)
 
     return parser

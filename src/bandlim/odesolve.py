@@ -3,10 +3,12 @@
 For L = sum_k a_k d^k/dz^k acting on a band-limited g(z) = int f(t) e^{izt} dt,
 differentiation under the integral turns L into multiplication by the
 symbol F(it) = sum_k a_k (it)^k.  Solving L g = h with h = sum d_n j_n
-reduces to the pointwise division f(t) = hhat(t) / F(it), where
-hhat = sum d_n (2 i^n)^{-1} P_n; g is the forward transform of the ratio's
-interpolant at the compact rule's nodes, a Bessel series.  Zeros of F(it)
-on [-1, 1] leave the method undefined and are refused with a diagnostic.
+reduces to the division f(t) = hhat(t) / F(it), where hhat = sum d_n
+(2 i^n)^{-1} P_n.  Multiplication by t on Legendre coefficients is the
+tridiagonal Jacobi matrix J, so the division is the banded system
+F(iJ) c = hhat, and g is the Bessel series of f = sum c_n P_n.  Zeros of
+F(it) on [-1, 1] leave the method undefined and are refused with a
+diagnostic.
 """
 
 from dataclasses import dataclass
@@ -14,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularSymbolError
-from .specfun import _check_order
-from .transform import (BesselSeries, LegendreSeries, _as_coeffs, _as_legendre,
-                        _check_rule, _coeffs_from_json, _coeffs_to_json, coeff_bar,
-                        coeff_unbar, forward_transform, legendre_projection)
+from .specfun import MAX_ORDER, _check_order
+from .transform import (BesselSeries, LegendreSeries, _as_coeffs, _coeffs_from_json,
+                        _coeffs_to_json, coeff_bar, coeff_unbar, forward_transform)
 
 _SYMBOL_FLOOR = 1e-8
 _SYMBOL_SAMPLES = 512
-_CHECK_GRID = np.arange(-10.0, 10.0 + 0.25, 0.5)
+_SECTIONS = (32, 64, MAX_ORDER)  # degrees N of the square sections tried
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,10 @@ def apply_operator(op, f, z, config):
 class SolutionBundle:
     """Result of a transform-domain solve.
 
-    f_series: the first nmax + 1 Legendre coefficients of hhat/F's interpolant
-    at the compact rule's nodes; g_at: that interpolant's forward transform, a
-    BesselSeries; residual_report: max |L g - h| over the check grid.
+    f_series: the solution's Legendre coefficients c, truncated or zero-padded
+    to nmax + 1; g_at: the forward transform of f = sum c_n P_n, a
+    BesselSeries; residual_report: a bound on |L g - h| and on the error of
+    g at every real z (see solve).
     """
 
     f_series: LegendreSeries
@@ -80,8 +83,9 @@ class SolutionBundle:
     residual_report: float
 
 
-def _check_symbol(op, rule):
-    ts = np.concatenate([np.linspace(-1.0, 1.0, _SYMBOL_SAMPLES), rule.nodes])
+def _check_symbol(op):
+    """min |F(it)| over t in [-1, 1]; SingularSymbolError if it is zero."""
+    ts = np.linspace(-1.0, 1.0, _SYMBOL_SAMPLES)
     # F(it) is a polynomial in t, so its near-real zeros can be located
     # exactly; grid sampling alone can step over a transversal zero.
     poly = op.coeffs * 1j ** np.arange(op.coeffs.size)
@@ -97,31 +101,54 @@ def _check_symbol(op, rule):
             f"operator symbol F(it) vanishes near t = {ts[k]:.6f} "
             f"(|F| = {vals[k]:.3e}); the transform-domain division is undefined",
             t_zero=float(ts[k]))
+    return float(vals[k])
+
+
+def _symbol_section(op, n):
+    """Columns 0..n of F(iJ) on n + 1 + order rows, by Horner: exact, as the
+    tridiagonal J (t P_m = ((m+1) P_{m+1} + m P_{m-1})/(2m+1)) moves each
+    column's support down by at most one row per power."""
+    m = np.arange(1.0, n + 1 + op.order)
+    jacobi = np.diag(m / (2 * m - 1), -1) + np.diag(m / (2 * m + 1), 1)
+    eye = np.eye(len(m) + 1, n + 1)
+    out = 0 * eye
+    for a in op.coeffs[::-1]:
+        out = 1j * jacobi @ out + a * eye
+    return out
 
 
 def solve(op, h, nmax, config, residual_threshold=None):
     """Solve L g = h for a finite Bessel series h by symbol division.
 
-    hhat/F is evaluated once, at the compact rule's nodes, which must number
-    at least nmax + 1 (RuleTooSmallError).  Raises SingularSymbolError if
-    F(it) has a zero on [-1, 1]; raises ConvergenceError if
-    residual_threshold is given and the check-grid residual exceeds it.
+    f = sum c_n P_n solves the (N+1)-square section of F(iJ) c = hhat for
+    the first N of 32, 64, 128 with N >= len(h) - 1 whose last three
+    coefficients fall to N eps max|c| (else N = 128).  r = F(iJ) [c; 0] -
+    hhat is exact, so, as |P_n|, |j_n| <= 1, residual_report =
+    max(1, 1/min|F(it)|) sum 2|r_n| + 2N eps sum |c_n| bounds both
+    |L g - h| and the error of g at every real z.  config is read for
+    nothing; nmax may be up to 128.  Raises SingularSymbolError if F(it)
+    has a zero on [-1, 1], and ConvergenceError if residual_report exceeds
+    a given residual_threshold.
     """
     if not isinstance(h, BesselSeries):
         raise DomainError("h must be a BesselSeries")
     nmax = _check_order(nmax)
-    _check_symbol(op, config.compact_rule)
-    _check_rule(config.compact_rule, nmax)
-    hbar = coeff_bar(h)
-    f = _as_legendre(lambda t: hbar(t) / op.symbol(t), config.compact_rule)
-    f_series = legendre_projection(f, nmax, config.compact_rule)
-    lg = apply_operator(op, f, _CHECK_GRID, config)
-    residual = float(np.max(np.abs(lg - h(_CHECK_GRID))))
+    floor = _check_symbol(op)
+    hbar = coeff_bar(h).coeffs
+    for n in [n for n in _SECTIONS if n + 1 >= hbar.size]:
+        section = _symbol_section(op, n)
+        rhs = np.pad(hbar, (0, len(section) - hbar.size))
+        c = np.linalg.solve(section[:n + 1], rhs[:n + 1])
+        if np.max(np.abs(c[-3:])) <= n * _EPS * np.max(np.abs(c)):
+            break
+    residual = float(max(1.0, 1.0 / floor) * np.sum(2 * np.abs(section @ c - rhs))
+                     + 2 * n * _EPS * np.sum(np.abs(c)))
     if residual_threshold is not None and residual > residual_threshold:
         raise ConvergenceError(
             f"solve residual {residual:.3e} exceeds threshold {residual_threshold:.3e}",
             last_values=(residual,))
-    return SolutionBundle(f_series=f_series, g_at=coeff_unbar(f), residual_report=residual)
+    return SolutionBundle(f_series=LegendreSeries(np.pad(c, (0, MAX_ORDER - n))[:nmax + 1]),
+                          g_at=coeff_unbar(LegendreSeries(c)), residual_report=residual)
 
 
 def operator_to_json(op):

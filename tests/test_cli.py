@@ -417,16 +417,31 @@ ACCEPTED = {
     "eval-jn": (),
     "eval-pn": (),
     "gauss-rule": ("--npoints",),
-    "forward": ("--show-config",),
+    "forward": (),
     "inverse": ("--normalization", "--max-segments", "--show-config"),
-    "project-legendre": ("--show-config",),
+    "project-legendre": (),
     "project-bessel": ("--max-segments", "--show-config"),
     "bauer-check": (),
     "ortho-check": ("--max-segments", "--show-config"),
-    "calibrate": ("--show-config",),
+    "calibrate": (),
     "roundtrip": ("--npoints", "--normalization", "--max-segments",
                   "--show-config"),
-    "solve-ode": ("--npoints", "--show-config"),
+    "solve-ode": (),
+}
+
+
+# what --show-config prints for each command that takes a config; None
+# where the command reads no knob and refuses the flag
+SHOWN = {
+    "forward": None,
+    "inverse": {"normalization": "calibrated", "tol": 1e-9, "max_segments": 400},
+    "project-legendre": None,
+    "project-bessel": {"max_segments": 400},
+    "ortho-check": {"tol": 1e-9, "max_segments": 400},
+    "calibrate": None,
+    "roundtrip": {"normalization": "calibrated", "npoints": 32, "tol": 1e-9,
+                  "max_segments": 400},
+    "solve-ode": None,
 }
 
 
@@ -441,7 +456,7 @@ class TestConfigFlags:
             assert "--out" in options
             assert {f for f in CONFIG_FLAGS if f in options} == set(flags)
             slots += 1 + len(flags)
-        assert slots == 29
+        assert slots == 24
 
     @pytest.mark.parametrize("argv", [
         "eval-jn --n 1 --z 1 --npoints 8",
@@ -450,10 +465,13 @@ class TestConfigFlags:
         "inverse --in {g} --t 0.25 --npoints 8",
         "forward --in {g} --z 1 --npoints 40",
         "project-legendre --in {g} --nmax 2 --npoints 40",
+        "solve-ode --op {op} --in {g} --z 0 --npoints 40",
     ], ids=lambda argv: argv.split()[0])
     def test_unread_flag_refused(self, capsys, tmp_path, argv):
         g = write_series(tmp_path, "g.json", "bessel", [2.0])
-        code, out, _ = run(capsys, *argv.format(g=g).split(), "--out", "-")
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"op": [[1.0, 0.0]]}))
+        code, out, _ = run(capsys, *argv.format(g=g, op=op).split(), "--out", "-")
         assert code == 1
         assert out == ""
 
@@ -468,15 +486,18 @@ class TestConfigFlags:
         "solve-ode --op {op} --in {g} --z 0",
     ], ids=lambda argv: argv.split()[0])
     def test_show_config_keys(self, capsys, tmp_path, argv):
+        # only the knobs the command reads; a command that reads none
+        # refuses the flag
         g = write_series(tmp_path, "g.json", "bessel", [2.0])
         op = tmp_path / "op.json"
         op.write_text(json.dumps({"op": [[1.0, 0.0]]}))
-        code, _, err = run(capsys, *argv.format(g=g, op=op).split(),
-                           "--show-config", "--out", "-")
-        assert code == 0
-        assert json.loads(err) == {"normalization": "calibrated",
-                                   "npoints": 32, "tol": 1e-9,
-                                   "max_segments": 400}
+        code, out, err = run(capsys, *argv.format(g=g, op=op).split(),
+                             "--show-config", "--out", "-")
+        shown = SHOWN[argv.split()[0]]
+        if shown is None:
+            assert (code, out) == (1, "")
+        else:
+            assert code == 0 and json.loads(err) == shown
 
 
 def test_solve_ode_evaluates_g_once_per_point(capsys, tmp_path, monkeypatch):
@@ -531,7 +552,7 @@ def test_digest_corpus_is_valid():
     corpus = Path(__file__).resolve().parents[1] / "tools" / "cli_corpus"
     lines = (corpus / "corpus.txt").read_text().splitlines()
     entries = [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
-    assert len(entries) == 27
+    assert len(entries) == 28
     for argv in entries:
         args = build_parser().parse_args(argv)
         assert args.out == "-"

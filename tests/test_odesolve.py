@@ -2,18 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-import bandlim.odesolve
 from bandlim import (BesselSeries, ConvergenceError, DifferentialOperator,
-                     DomainError, LegendreSeries, RuleTooSmallError,
-                     SingularSymbolError, TransformConfig, apply_operator,
-                     coeff_bar, forward_transform, gauss_legendre_rule,
+                     DomainError, LegendreSeries, SingularSymbolError,
+                     TransformConfig, apply_operator, coeff_bar,
+                     forward_transform, gauss_legendre_rule,
                      operator_from_json, operator_to_json, solve, symbol_eval)
+
+REF_RULE = gauss_legendre_rule(1500)
+REF_Z = np.array([0.0, 10.0, 60.0, 200.0])
 
 
 @pytest.fixture(scope="module")
 def config():
     return TransformConfig()
+
+
+def reference_g(op, h):
+    """g(z) = int_-1^1 hhat(t) / F(it) e^{izt} dt at REF_Z, by a 1500-point
+    Gauss sum."""
+    t, w = REF_RULE.nodes, REF_RULE.weights
+    f = coeff_bar(h)(t) / op.symbol(t)
+    return np.array([np.sum(w * f * np.exp(1j * z * t)) for z in REF_Z])
+
+
+def operator_with_roots(scale, roots):
+    """The second-order L whose symbol is F(it) = scale (t - r0)(t - r1)."""
+    r0, r1 = roots
+    return DifferentialOperator([scale * r0 * r1, 1j * scale * (r0 + r1), -scale])
 
 
 class TestOperator:
@@ -145,30 +163,53 @@ class TestSolve:
         want[0] = 1.0
         np.testing.assert_allclose(sol.f_series.coeffs, want, atol=1e-13)
 
-    def test_ratio_evaluated_once(self, config, monkeypatch):
-        # hhat/F is sampled once, at the 32 compact nodes, and projected once
-        calls = []
-
-        class CountedSeries(LegendreSeries):
-            def __call__(self, t):
-                calls.append(np.shape(t))
-                return super().__call__(t)
-        monkeypatch.setattr(bandlim.odesolve, "coeff_bar",
-                            lambda h: CountedSeries(coeff_bar(h).coeffs))
-        solve(DifferentialOperator([1.0, 0.0, -1.0]), BesselSeries([2.0]), 16, config)
-        assert calls == [(32,)]
-
     @pytest.mark.parametrize("nmax", [0, 7, 31])
-    def test_f_series_is_the_interpolant_truncated(self, config, nmax):
+    def test_f_series_is_g_at_coefficients(self, config, nmax):
         op = DifferentialOperator([1.5, 0.3 - 0.2j, -0.6])
         sol = solve(op, BesselSeries([0.5 + 0.25j, -1.0 + 0.75j, 0.3 - 0.1j]), nmax, config)
         want = coeff_bar(sol.g_at).coeffs[:nmax + 1]
         assert sol.f_series.coeffs.tobytes() == want.tobytes()
 
-    def test_rule_must_cover_nmax(self, config):
-        rule = config.compact_rule
-        with pytest.raises(RuleTooSmallError, match=f"rule with {len(rule)} points"):
-            solve(DifferentialOperator([1.0]), BesselSeries([2.0]), len(rule), config)
+    @pytest.mark.parametrize("nmax", [32, 100, 128])
+    def test_nmax_up_to_128_zero_padded(self, config, nmax):
+        # 2 - t^2 resolves at N = 64; coefficients beyond it are zeros
+        sol = solve(DifferentialOperator([2.0, 0.0, 1.0]), BesselSeries([2.0]), nmax, config)
+        c = coeff_bar(sol.g_at).coeffs
+        assert c.size == 65 and len(sol.f_series) == nmax + 1
+        assert np.array_equal(sol.f_series.coeffs, np.pad(c, (0, 64))[:nmax + 1])
+
+    @pytest.mark.parametrize("coeffs", [[2.0, 0.0, 1.0], [1.21, 0.0, 1.0], [1.0, 0.0, -1.0]],
+                             ids=["2-t^2", "1.21-t^2", "1+t^2"])
+    def test_g_matches_reference_far_out(self, coeffs):
+        op, h = DifferentialOperator(coeffs), BesselSeries([2.0])
+        want = reference_g(op, h)
+        sol = solve(op, h, 16, None)
+        err = np.max(np.abs(sol.g_at(REF_Z) - want))
+        assert err <= 1e-13 * np.max(np.abs(want))
+        assert sol.residual_report >= err
+
+    def test_poles_near_band_edge(self):
+        # F(it) = 1.0201 - t^2 has roots at +/- 1.01; g(0) = ln(201) / 1.01
+        op, h = DifferentialOperator([1.0201, 0.0, 1.0]), BesselSeries([2.0])
+        sol = solve(op, h, 16, None)
+        err = np.max(np.abs(sol.g_at(REF_Z) - reference_g(op, h)))
+        assert err < sol.residual_report < 1e-4
+        assert abs(sol.g_at(0.0) - math.log(201.0) / 1.01) <= sol.residual_report
+        with pytest.raises(ConvergenceError, match="exceeds threshold 1.000e-10"):
+            solve(op, h, 16, None, residual_threshold=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.25, 4.0), st.floats(-math.pi, math.pi),
+           st.lists(st.complex_numbers(max_magnitude=3.0).filter(  # 0.01 off [-1, 1]
+               lambda r: abs(r - np.clip(r.real, -1.0, 1.0)) >= 0.01), min_size=2, max_size=2),
+           st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=4))
+    # a double root 0.0101 from the band: the error of g is 3.5 sum 2|r_n|
+    @example(1.0, 0.0, [0.4 + 0.0101j, 0.4 + 0.0101j], [2.0])
+    def test_residual_bounds_error(self, modulus, phase, roots, h_coeffs):
+        op = operator_with_roots(modulus * np.exp(1j * phase), roots)
+        h = BesselSeries(h_coeffs)
+        sol = solve(op, h, 8, None)
+        assert sol.residual_report >= np.max(np.abs(sol.g_at(REF_Z) - reference_g(op, h)))
 
     def test_h_type_checked(self, config):
         with pytest.raises(DomainError):
