@@ -21,11 +21,10 @@ from .errors import BandlimError, ConvergenceError, DomainError
 from .odesolve import operator_from_json, solve
 from .quadrature import LineIntegralParams, gauss_legendre_rule
 from .specfun import legendre_all, spherical_j_all
-from .transform import (_DEFAULT_COMPACT_POINTS, CALIBRATED, PAPER_C,
-                        PAPER_QUARTER, BesselSeries, LegendreSeries,
-                        TransformConfig, bauer_partial_sum, bessel_projection,
-                        calibrate_normalization, coeff_bar, coeff_unbar,
-                        forward_transform, inverse_transform,
+from .transform import (CALIBRATED, PAPER_C, PAPER_QUARTER, BesselSeries,
+                        LegendreSeries, TransformConfig, bauer_partial_sum,
+                        bessel_projection, calibrate_normalization, coeff_bar,
+                        coeff_unbar, forward_transform, inverse_transform,
                         legendre_projection, orthogonality_matrix_j,
                         roundtrip, series_from_json, series_to_json)
 
@@ -92,7 +91,6 @@ _threshold.__name__ = "float"  # unparsable text reads "invalid float value"
 
 
 _CONFIG_FLAGS = {
-    "npoints": dict(type=int, help="compact Gauss-Legendre rule size"),
     "normalization": dict(choices=[CALIBRATED, PAPER_QUARTER]),
     "max-segments": dict(type=int, help="line-integral segment cap (core "
                          "segments for project-bessel of a series)"),
@@ -108,21 +106,18 @@ def _add_common(p, *flags, tol=False):
     command runs the accelerated line engine (tol=True)."""
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     knobs = [f.replace("-", "_") for f in flags if f != "show-config"] + ["tol"] * tol
-    p.set_defaults(npoints=_DEFAULT_COMPACT_POINTS, normalization=CALIBRATED,
-                   max_segments=LineIntegralParams.max_segments, show_config=False,
-                   knobs=knobs)
+    p.set_defaults(normalization=CALIBRATED, max_segments=LineIntegralParams.max_segments,
+                   show_config=False, knobs=knobs)
     for flag in flags:
         p.add_argument("--" + flag, **_CONFIG_FLAGS[flag])
 
 
 def _build_config(args):
     params = LineIntegralParams(max_segments=args.max_segments)
-    config = TransformConfig(normalization=args.normalization,
-                             line_params=params,
-                             compact_rule=gauss_legendre_rule(args.npoints))
+    config = TransformConfig(normalization=args.normalization, line_params=params)
     if args.show_config:
-        effective = {"normalization": config.normalization, "npoints": len(config.compact_rule),
-                     "tol": params.tol, "max_segments": params.max_segments}
+        effective = {"normalization": config.normalization, "tol": params.tol,
+                     "max_segments": params.max_segments}
         print(json.dumps({k: v for k, v in effective.items() if k in args.knobs}, indent=2),
               file=sys.stderr)
     return config
@@ -252,7 +247,8 @@ def build_parser():
     p.set_defaults(fn=partial(_cmd_eval, "t", legendre_all))
 
     p = sub.add_parser("gauss-rule", help="Gauss-Legendre nodes and weights")
-    _add_common(p, "npoints")
+    _add_common(p)
+    p.add_argument("--npoints", type=int, default=32, help="rule size")
     p.set_defaults(fn=_cmd_gauss_rule)
 
     p = sub.add_parser("forward", help="forward transform of a series on a z grid")
@@ -272,7 +268,7 @@ def build_parser():
     p.add_argument("--nmax", type=int, required=True)
     _add_common(p)
     p.set_defaults(fn=partial(_cmd_project, LegendreSeries, lambda f, nmax, config:
-                              legendre_projection(f, nmax, config.compact_rule)))
+                              legendre_projection(f, nmax)))
 
     p = sub.add_parser("project-bessel", help="spherical-Bessel coefficients")
     p.add_argument("--in", required=True, help="series JSON path")
@@ -304,8 +300,7 @@ def build_parser():
     p = sub.add_parser("roundtrip", help="inverse-then-forward on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "z", 0.0, 10.0)
-    _add_common(p, "npoints", "normalization", "max-segments", "show-config",
-                tol=True)
+    _add_common(p, "normalization", "max-segments", "show-config", tol=True)
     p.set_defaults(fn=partial(_cmd_on_grid, BesselSeries, roundtrip, "z"))
 
     p = sub.add_parser("solve-ode", help="solve L g = h by symbol division")

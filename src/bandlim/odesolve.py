@@ -64,7 +64,9 @@ def symbol_eval(op, t):
 def apply_operator(op, f, z, config):
     """(L g)(z) = int_-1^1 f(t) F(it) e^{izt} dt, differentiation done
     under the integral sign; f is a LegendreSeries or vectorized callable
-    on [-1,1], and z a scalar or an array (the result has its shape)."""
+    on [-1,1], and z a scalar or an array (the result has its shape).  The
+    product f F is a callable, so it is interpolated at the 32 nodes of the
+    cached segment rule (see forward_transform); config is read for nothing."""
     return forward_transform(lambda t: f(t) * op.symbol(t), z, config)
 
 

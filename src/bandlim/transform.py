@@ -22,16 +22,14 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, InvalidOrderError, InvalidRuleError,
                      RuleTooSmallError)
-from .quadrature import (LineIntegralParams, QuadratureRule, _eval_integrand,
-                         _hankel_core, _hankel_radius, _hankel_tails, _line_integrals,
-                         _line_rows, gauss_legendre_rule)
+from .quadrature import (LineIntegralParams, _eval_integrand, _hankel_core, _hankel_radius,
+                         _hankel_tails, _line_integrals, _line_rows, _seg_rule)
 from .specfun import MAX_ORDER, _check_order, _hankel_table, _jn_table, legendre_all
 
 CALIBRATED = "calibrated"
 PAPER_QUARTER = "paper-quarter"
 PAPER_C = 4.0
 
-_DEFAULT_COMPACT_POINTS = 32
 _ORTHO_NMAX_LIMIT = 16
 
 
@@ -101,12 +99,11 @@ def coeff_unbar(series):
 
 @dataclass(frozen=True, eq=False)
 class TransformConfig:
-    """Normalization convention, line-integral tuning, and compact rule; no
-    computed state: divisor() reads C* from the cached line moments."""
+    """Normalization convention and line-integral tuning; no computed state:
+    divisor() reads C* from the cached line moments."""
 
     normalization: str = CALIBRATED
     line_params: LineIntegralParams = None
-    compact_rule: QuadratureRule = None
 
     def __post_init__(self):
         if self.normalization not in (CALIBRATED, PAPER_QUARTER):
@@ -115,30 +112,24 @@ class TransformConfig:
             object.__setattr__(self, "line_params", LineIntegralParams())
         if not isinstance(self.line_params, LineIntegralParams):
             raise InvalidRuleError("line_params must be a LineIntegralParams")
-        if self.compact_rule is None:
-            object.__setattr__(self, "compact_rule",
-                               gauss_legendre_rule(_DEFAULT_COMPACT_POINTS))
-        if not isinstance(self.compact_rule, QuadratureRule):
-            raise InvalidRuleError("compact_rule must be a QuadratureRule")
 
     def divisor(self):
         """The inverse's C: PAPER_C, or the measured mode-0 C*."""
         return PAPER_C if self.normalization == PAPER_QUARTER else _measured_divisor(0)
 
 
-def _as_legendre(f, rule):
-    """A LegendreSeries f itself, else the callable f projected on the rule to
-    the highest degree it supports: up to 129 nodes, f's interpolant there."""
-    if isinstance(f, LegendreSeries):
-        return f
-    return legendre_projection(f, min(len(rule), MAX_ORDER + 1) - 1, rule)
-
-
 def forward_transform(f, z, config):
     """g(z) = int_-1^1 f(t) e^{izt} dt = coeff_unbar(f)(z) for a LegendreSeries
-    f, or for the interpolant of a vectorized callable f at the compact rule's
-    nodes; z is a finite scalar or array, and the result has its shape."""
-    return coeff_unbar(_as_legendre(f, config.compact_rule))(z)
+    f, or for the degree-31 interpolant of a vectorized callable f at the 32
+    nodes of the cached segment rule (quadrature._seg_rule); z is a finite
+    scalar or array, refused before f is called, and the result has its
+    shape.  config is read for nothing."""
+    if not np.all(np.isfinite(z)):
+        raise DomainError("z must be finite")
+    if not isinstance(f, LegendreSeries):
+        rule = _seg_rule()
+        f = legendre_projection(f, len(rule) - 1, rule)
+    return coeff_unbar(f)(z)
 
 
 def inverse_transform(g, t, config):
@@ -200,19 +191,16 @@ def calibrate_normalization(config, mode=0):
     return _measured_divisor(mode)
 
 
-def _check_rule(rule, nmax):
-    if len(rule) < nmax + 1:
-        raise RuleTooSmallError(f"rule with {len(rule)} points cannot project to degree {nmax}")
-
-
-def legendre_projection(f, nmax, rule):
+def legendre_projection(f, nmax, rule=None):
     """cbar_n = (2n+1)/2 int_-1^1 f(t) P_n(t) dt, n = 0..nmax: a LegendreSeries
-    f's own coefficients, truncated or zero-padded, whatever the rule; for a
-    vectorized callable f, a sum on the rule of at least nmax + 1 points."""
+    f's own coefficients, truncated or zero-padded, reading no rule; for a
+    vectorized callable f, a sum on the rule, of at least nmax + 1 points."""
     nmax = _check_order(nmax)
     if isinstance(f, LegendreSeries):
         return LegendreSeries(np.pad(f.coeffs[:nmax + 1], (0, max(0, nmax + 1 - len(f)))))
-    _check_rule(rule, nmax)
+    if rule is None or len(rule) < nmax + 1:
+        raise RuleTooSmallError(f"a callable needs a rule of at least {nmax + 1} points "
+                                f"to project to degree {nmax}")
     vals = _eval_integrand(f, rule.nodes)
     p = legendre_all(nmax, rule.nodes)
     n = np.arange(nmax + 1)
@@ -285,7 +273,8 @@ def bauer_partial_sum(z, t, order):
 
 def roundtrip(g, z, config):
     """Inverse then forward: f = inverse_transform(g, .) is evaluated once,
-    at the compact rule's nodes, and forward-transformed to every z."""
+    at the 32 nodes of the cached segment rule, and forward-transformed to
+    every z; a non-finite z is refused before any inverse runs."""
     return forward_transform(lambda t: inverse_transform(g, t, config), z, config)
 
 

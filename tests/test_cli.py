@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import bandlim.cli
+import bandlim.quadrature
+import bandlim.transform
 from bandlim.cli import build_parser, main
-from bandlim.transform import LegendreSeries, coeff_unbar
+from bandlim.transform import LegendreSeries, TransformConfig, coeff_unbar
 
 
 def run(capsys, *argv):
@@ -258,6 +260,14 @@ class TestGates:
         assert code == 2 and out == ""
         assert "t=0.0" in err and "G[1, 9]" in err and "G[0, 0]" not in err
 
+    def test_ortho_nonconvergence_names_pairs_at_a_tight_cap(self, capsys):
+        # the twin of the nmax 9 case above: at 24 segments G[0, 0]
+        # converges and G[1, 3] does not
+        code, out, err = run(capsys, "ortho-check", "--nmax", "3",
+                             "--max-segments", "24", "--out", "-")
+        assert code == 2 and out == ""
+        assert "t=0.0" in err and "G[1, 3]" in err and "G[0, 0]" not in err
+
 
 class TestPlumbing:
     def test_unknown_subcommand(self, capsys):
@@ -424,8 +434,7 @@ ACCEPTED = {
     "bauer-check": (),
     "ortho-check": ("--max-segments", "--show-config"),
     "calibrate": (),
-    "roundtrip": ("--npoints", "--normalization", "--max-segments",
-                  "--show-config"),
+    "roundtrip": ("--normalization", "--max-segments", "--show-config"),
     "solve-ode": (),
 }
 
@@ -439,8 +448,7 @@ SHOWN = {
     "project-bessel": {"max_segments": 400},
     "ortho-check": {"tol": 1e-9, "max_segments": 400},
     "calibrate": None,
-    "roundtrip": {"normalization": "calibrated", "npoints": 32, "tol": 1e-9,
-                  "max_segments": 400},
+    "roundtrip": {"normalization": "calibrated", "tol": 1e-9, "max_segments": 400},
     "solve-ode": None,
 }
 
@@ -456,7 +464,7 @@ class TestConfigFlags:
             assert "--out" in options
             assert {f for f in CONFIG_FLAGS if f in options} == set(flags)
             slots += 1 + len(flags)
-        assert slots == 24
+        assert slots == 23
 
     @pytest.mark.parametrize("argv", [
         "eval-jn --n 1 --z 1 --npoints 8",
@@ -466,6 +474,7 @@ class TestConfigFlags:
         "forward --in {g} --z 1 --npoints 40",
         "project-legendre --in {g} --nmax 2 --npoints 40",
         "solve-ode --op {op} --in {g} --z 0 --npoints 40",
+        "roundtrip --in {g} --z 1 --npoints 40",
     ], ids=lambda argv: argv.split()[0])
     def test_unread_flag_refused(self, capsys, tmp_path, argv):
         g = write_series(tmp_path, "g.json", "bessel", [2.0])
@@ -544,6 +553,39 @@ def test_inverse_grid_nonconvergence_names_point(capsys, tmp_path):
                          "--t-max", "1", "--t-steps", "3", "--out", "-")
     assert code == 2 and out == ""
     assert "grid index 2" in err and "t=0.999999999" in err
+
+
+def test_inverse_grid_nonconvergence_names_point_at_a_tight_cap(capsys, tmp_path):
+    # the twin of the edge case above: at 18 segments 0.7 and 0.8 converge
+    # and 0.9 does not
+    path = write_series(tmp_path, "g.json", "bessel", [2.0])
+    code, out, err = run(capsys, "inverse", "--in", path, "--t-min", "0.7",
+                         "--t-max", "0.9", "--t-steps", "3", "--max-segments", "18",
+                         "--out", "-")
+    assert code == 2 and out == ""
+    assert "grid index 2" in err and "t=0.9 " in err
+
+
+def test_rules_built_only_by_gauss_rule(capsys, tmp_path, monkeypatch):
+    # every command that reads a rule reads the cached 32-point segment
+    # rule; once it is warm, only gauss-rule builds one, the rule it prints
+    bandlim.quadrature._seg_rule()
+    built = []
+    for module in (bandlim.quadrature, bandlim.transform, bandlim.cli):
+        if hasattr(module, "gauss_legendre_rule"):
+            monkeypatch.setattr(module, "gauss_legendre_rule",
+                                lambda n, build=module.gauss_legendre_rule:
+                                built.append(n) or build(n))
+    TransformConfig()
+    assert built == []
+    g = write_series(tmp_path, "g.json", "bessel", [2.0])
+    for argv in ("forward --in {g} --z 1", "project-legendre --in {g} --nmax 2",
+                 "inverse --in {g} --t 0.25", "project-bessel --in {g} --nmax 2",
+                 "calibrate", "roundtrip --in {g} --z 1"):
+        code, _, _ = run(capsys, *argv.format(g=g).split(), "--out", "-")
+        assert (argv, code, built) == (argv, 0, [])
+    code, _, _ = run(capsys, "gauss-rule", "--npoints", "8", "--out", "-")
+    assert code == 0 and built == [8]
 
 
 def test_digest_corpus_is_valid():

@@ -133,12 +133,11 @@ class TestSolve:
             combo = a * s1.g_at(z) + b * s2.g_at(z)
             assert abs(ssum.g_at(z) - combo) < 1e-8
 
-    def test_degree_stability(self):
-        cfg = TransformConfig(compact_rule=gauss_legendre_rule(48))
+    def test_degree_stability(self, config):
         op = DifferentialOperator([1.0, 0.0, -1.0])
         h = BesselSeries([2.0])
-        s16 = solve(op, h, 16, cfg)
-        s32 = solve(op, h, 32, cfg)
+        s16 = solve(op, h, 16, config)
+        s32 = solve(op, h, 32, config)
         for z in np.arange(-10.0, 10.5, 2.5):
             assert abs(s16.g_at(z) - s32.g_at(z)) < 1e-8
 

@@ -10,12 +10,13 @@ from bandlim import (ConvergenceError, DomainError, EvaluationError,
                      InvalidRuleError, LineIntegralParams, QuadratureRule,
                      TransformConfig, forward_transform, gauss_legendre_rule,
                      integrate_compact, integrate_oscillatory_line)
+from bandlim.cli import main
 from bandlim.quadrature import (_CHECK_EVERY, _CORE_CHUNK_PERIODS, _EDGE_SCALE,
                                 _FIRST_CHECK, _MIN_EDGE_DIST, _MIN_HALFWIDTH,
                                 _SEGMENT, _UNC_FACTOR, _accelerate,
                                 _eval_integrand, _line_integrals, _seg_rule)
 from bandlim.specfun import _jn_table
-from bandlim.transform import BesselSeries
+from bandlim.transform import BesselSeries, roundtrip
 
 # callables that do not map an array to an array of the same shape
 NOT_VECTORIZED = {
@@ -131,13 +132,24 @@ class TestIntegrateCompact:
     def test_wrong_shape(self, run, fn):
         assert_refused_after_one_call(run, fn)
 
-    def test_forward_transform_nonfinite(self):
+    def test_forward_transform_nonfinite(self, capsys, tmp_path):
         with pytest.raises(EvaluationError):
             forward_transform(lambda t: np.where(t > 0, np.nan, 1.0), 1.0,
                               TransformConfig())
+        # a non-finite z is refused before f, or roundtrip's inverse leg, runs
+        calls = []
+        never = lambda x: calls.append(x) or x
         with pytest.raises(DomainError, match="z must be finite"):
-            forward_transform(lambda t: t, np.array([0.0, math.inf]),
-                              TransformConfig())
+            forward_transform(never, np.array([0.0, math.inf]), TransformConfig())
+        for g in (never, BesselSeries([2.0])):
+            with pytest.raises(DomainError, match="z must be finite"):
+                roundtrip(g, math.nan, TransformConfig())
+        assert calls == []
+        doc = tmp_path / "g.json"
+        doc.write_text('{"kind": "bessel", "coeffs": [[2.0, 0.0]]}')
+        argv = ["roundtrip", "--in", str(doc), "--z", "nan", "--max-segments", "12"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "bandlim: z must be finite\n"
 
 
 class TestLineIntegralParams:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -185,8 +186,6 @@ class TestCalibration:
     def test_bad_normalization(self):
         with pytest.raises(DomainError):
             TransformConfig(normalization="whatever")
-        with pytest.raises(InvalidRuleError):
-            TransformConfig(compact_rule=[-0.5, 0.5])
 
     @pytest.mark.parametrize("params", ["1e-9", (1e-9, 400), 1e-9])
     def test_line_params_must_be_line_integral_params(self, params):
@@ -201,15 +200,14 @@ class TestCalibration:
         for mode in range(0, 129, 2):
             calibrate_normalization(cfg, mode)
         fresh = TransformConfig()
-        assert set(vars(cfg)) == set(vars(fresh)) == {
-            "normalization", "line_params", "compact_rule"}
+        names = [f.name for f in dataclasses.fields(TransformConfig)]
+        assert names == ["normalization", "line_params"]
+        assert set(vars(cfg)) == set(vars(fresh)) == set(names)
         assert cfg.normalization == fresh.normalization
         assert cfg.line_params == fresh.line_params
-        assert same_bits(cfg.compact_rule.nodes, fresh.compact_rule.nodes)
-        assert same_bits(cfg.compact_rule.weights, fresh.compact_rule.weights)
         assert cfg.divisor() == fresh.divisor() == calibrate_normalization(fresh)
 
-    @pytest.mark.parametrize("field", ["normalization", "line_params", "compact_rule"])
+    @pytest.mark.parametrize("field", ["normalization", "line_params"])
     def test_config_is_frozen(self, field):
         cfg = TransformConfig()
         with pytest.raises(AttributeError):
@@ -233,6 +231,7 @@ class TestProjections:
         p40 = LegendreSeries(np.eye(41)[40])
         proj = legendre_projection(p40, 31, gauss_legendre_rule(npoints))
         assert same_bits(proj.coeffs, np.zeros(32, dtype=complex))
+        assert same_bits(legendre_projection(p40, 31).coeffs, proj.coeffs)
 
     @pytest.mark.parametrize("nmax", [5, 40, 128])
     def test_legendre_projection_of_series_pads_with_zeros(self, nmax):
@@ -245,6 +244,8 @@ class TestProjections:
         rule = gauss_legendre_rule(4)
         with pytest.raises(RuleTooSmallError):
             legendre_projection(lambda t: t, 6, rule)
+        with pytest.raises(RuleTooSmallError, match="at least 7 points"):
+            legendre_projection(lambda t: t, 6)
 
     def test_bessel_projection_of_mode(self, config):
         g = BesselSeries([0.0, 0.0, 1.0])
@@ -366,22 +367,21 @@ class TestGridCalls:
         got = inverse_transform(g, t, config)
         assert same_bits(got, pointwise(lambda s: inverse_transform(g, s, config), t))
 
-    def test_roundtrip(self):
-        # a 6-point compact rule keeps each inverse leg to 6 line integrals
-        cfg = TransformConfig(compact_rule=gauss_legendre_rule(6))
+    def test_roundtrip(self, config):
         g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j])
-        at = {z: roundtrip(g, z, cfg) for z in (0.0, 2.0, 7.0, -1.5)}
+        at = {z: roundtrip(g, z, config) for z in (0.0, 2.0, 7.0, -1.5)}
         for z in (np.array(2.0), np.array([0.0, 2.0, 7.0]),
                   np.array([[0.0, 7.0], [2.0, -1.5]])):
-            assert same_bits(roundtrip(g, z, cfg), pointwise(at.__getitem__, z))
+            assert same_bits(roundtrip(g, z, config), pointwise(at.__getitem__, z))
 
     def test_roundtrip_runs_one_inverse_leg(self, config, monkeypatch):
-        # the 32 nodes of the symmetric rule are 16 stacks of a t and its -t
+        # the 32 nodes of the symmetric segment rule are 16 stacks of a t
+        # and its -t
         config.divisor()
         calls = count_engine_calls(monkeypatch)
         roundtrip(BesselSeries([2.0]), np.array([0.0, 2.0, 7.0]), config)
-        assert len(calls) == len(config.compact_rule) // 2 == 16
-        assert sum(np.size(t) for t in calls) == len(config.compact_rule) == 32
+        assert len(calls) == 16
+        assert sum(np.size(t) for t in calls) == 32
 
     def test_inverse_checks_every_t_first(self, monkeypatch):
         # a fresh config: not even the divisor C* is integrated
@@ -511,6 +511,20 @@ class TestStackedIntegrals:
         assert f"t={t[2]!r}" in str(info.value)
         assert info.value.last_values == alone.value.last_values
 
+    def test_inverse_grid_names_failing_index_at_a_tight_cap(self):
+        # the twin of the edge case above, away from the edge: at 18
+        # segments 0 and 0.8 converge and 0.9 does not
+        config = TransformConfig(line_params=LineIntegralParams(max_segments=18))
+        g = BesselSeries([2.0])
+        t = [0.0, 0.8, 0.9]
+        with pytest.raises(ConvergenceError) as info:
+            inverse_transform(g, t, config)
+        with pytest.raises(ConvergenceError) as alone:
+            inverse_transform(g, t[2], config)
+        assert "grid index 2" in str(info.value)
+        assert f"t={t[2]!r}" in str(info.value)
+        assert info.value.last_values == alone.value.last_values
+
 
 def pointwise_inverse(g, t, config):
     """The inverse as one line integral per point in flat order, each
@@ -618,6 +632,17 @@ class TestInverseStacks:
         with pytest.raises(ConvergenceError, match="grid index 0") as info:
             inverse_transform(BesselSeries([2.0]), [-edge, edge], config)
         assert f"t={-edge!r}" in str(info.value)
+        assert len(calls) == 1 and alone == []
+
+    def test_failing_stack_raises_its_first_point_at_a_tight_cap(self, monkeypatch):
+        # the twin of the edge case above, away from the edge: at 18
+        # segments both 0.9 and -0.9 fail
+        config = TransformConfig(line_params=LineIntegralParams(max_segments=18))
+        config.divisor()
+        calls, alone = count_engine_calls(monkeypatch), count_alone_calls(monkeypatch)
+        with pytest.raises(ConvergenceError, match="grid index 0") as info:
+            inverse_transform(BesselSeries([2.0]), [-0.9, 0.9], config)
+        assert f"t={-0.9!r}" in str(info.value)
         assert len(calls) == 1 and alone == []
 
     def test_one_row_stack_error_is_not_redone(self, monkeypatch):
