@@ -92,22 +92,20 @@ _threshold.__name__ = "float"  # unparsable text reads "invalid float value"
 
 _CONFIG_FLAGS = {
     "normalization": dict(choices=[CALIBRATED, PAPER_QUARTER]),
-    "max-segments": dict(type=int, help="line-integral segment cap (core "
-                         "segments for project-bessel of a series)"),
+    "max-segments": dict(type=int, help="line-integral segment cap"),
     "show-config": dict(action="store_true",
                         help="print the effective configuration to stderr"),
 }
 
 
-def _add_common(p, *flags, tol=False):
+def _add_common(p, *flags):
     """--out and the named _CONFIG_FLAGS; a command accepts only the config
     flags it reads, and every other config field keeps its default.
-    --show-config prints the knobs those flags set, and tol where the
-    command runs the accelerated line engine (tol=True)."""
+    --show-config prints tol and the knobs those flags set: every command
+    that accepts it runs the accelerated line engine."""
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    knobs = [f.replace("-", "_") for f in flags if f != "show-config"] + ["tol"] * tol
     p.set_defaults(normalization=CALIBRATED, max_segments=LineIntegralParams.max_segments,
-                   show_config=False, knobs=knobs)
+                   show_config=False, knobs=["tol", *(f.replace("-", "_") for f in flags)])
     for flag in flags:
         p.add_argument("--" + flag, **_CONFIG_FLAGS[flag])
 
@@ -260,7 +258,7 @@ def build_parser():
     p = sub.add_parser("inverse", help="inverse transform on a t grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "t", -1.0, 1.0)
-    _add_common(p, "normalization", "max-segments", "show-config", tol=True)
+    _add_common(p, "normalization", "max-segments", "show-config")
     p.set_defaults(fn=partial(_cmd_on_grid, BesselSeries, inverse_transform, "t"))
 
     p = sub.add_parser("project-legendre", help="Legendre coefficients of a series")
@@ -273,7 +271,7 @@ def build_parser():
     p = sub.add_parser("project-bessel", help="spherical-Bessel coefficients")
     p.add_argument("--in", required=True, help="series JSON path")
     p.add_argument("--nmax", type=int, required=True)
-    _add_common(p, "max-segments", "show-config")
+    _add_common(p)
     p.set_defaults(fn=partial(_cmd_project, BesselSeries, bessel_projection))
 
     p = sub.add_parser("bauer-check", help="plane-wave expansion gate")
@@ -290,7 +288,7 @@ def build_parser():
                    help="off-diagonal ceiling")
     p.add_argument("--diag-rel-tol", type=_threshold, default=1e-4,
                    help="relative spread ceiling for K_n (2n+1)")
-    _add_common(p, "max-segments", "show-config", tol=True)
+    _add_common(p, "max-segments", "show-config")
     p.set_defaults(fn=_cmd_ortho_check)
 
     p = sub.add_parser("calibrate", help="measure the inverse divisor C*")
@@ -300,7 +298,7 @@ def build_parser():
     p = sub.add_parser("roundtrip", help="inverse-then-forward on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "z", 0.0, 10.0)
-    _add_common(p, "normalization", "max-segments", "show-config", tol=True)
+    _add_common(p, "normalization", "max-segments", "show-config")
     p.set_defaults(fn=partial(_cmd_on_grid, BesselSeries, roundtrip, "z"))
 
     p = sub.add_parser("solve-ode", help="solve L g = h by symbol division")

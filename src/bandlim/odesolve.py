@@ -130,10 +130,13 @@ def solve(op, h, nmax, config, residual_threshold=None):
     |L g - h| and the error of g at every real z.  config is read for
     nothing; nmax may be up to 128.  Raises SingularSymbolError if F(it)
     has a zero on [-1, 1], and ConvergenceError if residual_report exceeds
-    a given residual_threshold.
+    a given residual_threshold, which must be finite and >= 0.
     """
     if not isinstance(h, BesselSeries):
         raise DomainError("h must be a BesselSeries")
+    if residual_threshold is not None and not 0.0 <= residual_threshold < np.inf:
+        raise DomainError(f"residual_threshold must be finite and >= 0, "
+                          f"got {residual_threshold!r}")
     nmax = _check_order(nmax)
     floor = _check_symbol(op)
     hbar = coeff_bar(h).coeffs

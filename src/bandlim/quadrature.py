@@ -20,12 +20,11 @@ Spherical-Bessel series, and products of two, need no acceleration at
 t = 0: each j_n has a finite Hankel expansion, so beyond a radius R it is
 a finite sum of y^{-m} e^{iwy}, whose tail integrals are closed forms in
 the exponential integral E_m.  This module gives that exact path's parts:
-the radius and its segment cap (_hankel_radius), the segment rule's nodes
-and weights on the core [-R, R] (_hankel_core), and the closed-form tails
-of the j_n and of their products (_hankel_tails).  transform._line_moments
-joins them into int j_n dy and int j_a j_b dy, once per order in a
-process, so that calibration and Bessel projection are products with
-those cached moments.
+the radius (_hankel_radius), the segment rule's nodes and weights on the
+core [-R, R] (_hankel_core), and the closed-form tails of the j_n and of
+their products (_hankel_tails).  transform._line_moments joins them into
+int j_n dy and int j_a j_b dy, once per order in a process, so that
+calibration and Bessel projection are products with those cached moments.
 """
 
 import cmath
@@ -166,13 +165,8 @@ def integrate_compact(integrand, rule):
 
 @dataclass(frozen=True)
 class LineIntegralParams:
-    """Relative tolerance and tail-segment cap of the line integrals.
-
-    On the exact series path (bessel_projection of a BesselSeries, a
-    product with the cached moments of transform._line_moments) tol plays
-    no part and max_segments caps the core's length-pi segments, so the
-    result depends only on g, nmax and that cap.
-    """
+    """Relative tolerance and tail-segment cap of the accelerated line
+    integrals (_line_rows)."""
 
     tol: float = 1e-9
     max_segments: int = 400
@@ -243,22 +237,15 @@ def _expint_orders(mmax, z):
     return np.array(e)
 
 
-def _hankel_radius(order, max_segments=None, labels=None):
+def _hankel_radius(order):
     """The core radius R of the exact path for rows whose highest j_n order
     is order: the least R >= max(24, order^2 / 8) that makes whole chunks
     of four length-pi segments, which keeps the Hankel expansion free of
-    cancellation and |omega R| above every m.  If the core needs more than
-    max_segments segments, raises ConvergenceError naming t = 0, the number
-    of segments and labels, an iterable of the rows' names read only then.
+    cancellation and |omega R| above every m.  The order alone fixes it:
+    16 length-pi segments up to order 14, 1304 at order 128 (MAX_ORDER).
     """
     chunk = _CORE_CHUNK_PERIODS * _SEGMENT
-    nchunks = math.ceil(2.0 * max(_HANKEL_MIN_RADIUS, order * order / 8.0) / chunk)
-    pieces = _CORE_CHUNK_PERIODS * nchunks
-    if max_segments is not None and pieces > max_segments:
-        named = "" if labels is None else " for " + ", ".join(labels)
-        raise ConvergenceError(f"line integral at t=0.0 needs {pieces} core segments, "
-                               f"more than max_segments={max_segments}{named}")
-    return 0.5 * chunk * nchunks
+    return 0.5 * chunk * math.ceil(2.0 * max(_HANKEL_MIN_RADIUS, order * order / 8.0) / chunk)
 
 
 def _hankel_core(radius):

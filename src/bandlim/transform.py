@@ -238,20 +238,15 @@ def bessel_projection(g, nmax, config):
 
     For a BesselSeries g of degree N every integral is an entry of M at
     order max(N, nmax): c = g.coeffs M[:N+1, :nmax+1] / diag(M), exact to
-    rounding, with no accelerator and no use of tol, and its bits depend
-    only on g and nmax.  A core of more than max_segments segments
-    (_hankel_radius) raises ConvergenceError naming the rows c_n and K_n.
-    A vectorized callable g takes the accelerated line engine, every
-    projection g j_n a row of one stacked integral, divided by diag(M) at
-    order nmax, so the result depends only on g, nmax and the line
-    parameters.
+    rounding.  Like calibrate_normalization it reads nothing of config, so
+    its bits depend only on g and nmax.  A vectorized callable g takes the
+    accelerated line engine, every projection g j_n a row of one stacked
+    integral, divided by diag(M) at order nmax, so the result depends only
+    on g, nmax and config.line_params.
     """
     nmax = _check_order(nmax)
     if isinstance(g, BesselSeries):
-        order = max(len(g) - 1, nmax)
-        _hankel_radius(order, config.line_params.max_segments,
-                       (f"{row}_{n}" for row in "cK" for n in range(nmax + 1)))
-        gram = _line_moments(order)[1]
+        gram = _line_moments(max(len(g) - 1, nmax))[1]
         return BesselSeries(g.coeffs @ gram[:len(g), :nmax + 1] / np.diag(gram)[:nmax + 1])
     raw = _line_integrals(lambda y: _eval_integrand(g, y) * _jn_table(nmax, y), 0.0,
                           config.line_params, (f"c_{n}" for n in range(nmax + 1)))

@@ -153,6 +153,11 @@ class TestSolve:
         with pytest.raises(ConvergenceError):
             solve(op, BesselSeries([2.0]), 4, config,
                   residual_threshold=1e-30)
+        # a gate that could never trip, or always would, is refused
+        for threshold in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError, match="residual_threshold"):
+                solve(op, BesselSeries([2.0]), 4, config,
+                      residual_threshold=threshold)
 
     def test_f_series_projection(self, config):
         # identity solve of h = 2 j_0: f(t) = 1, so cbar = [1, 0, ...]

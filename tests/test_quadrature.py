@@ -640,11 +640,11 @@ class TestHankelTails:
         assert h._hankel_radius(15) == 10 * math.pi
         assert h._hankel_radius(70) == 196 * math.pi
 
-    def test_core_segments_capped(self):
+    @pytest.mark.parametrize("order, segments", [(0, 16), (14, 16), (70, 392),
+                                                 (71, 404), (128, 1304)])
+    def test_core_segments(self, order, segments):
+        # the order alone fixes the core: order 0 has R = 8 pi >= 24, so 16
+        # segments of length pi, and the supported maximum 128 has 1304
         h = bandlim.quadrature
-        # order 0: R = 8 pi >= 24, so the core is 16 segments of length pi
-        assert h._hankel_radius(0, 16) == 8 * math.pi
-        with pytest.raises(ConvergenceError) as info:
-            h._hankel_radius(0, 15, ["row"])
-        assert str(info.value) == ("line integral at t=0.0 needs 16 core segments, "
-                                   "more than max_segments=15 for row")
+        nodes, _ = h._hankel_core(h._hankel_radius(order))
+        assert nodes.size == segments * _seg_rule().nodes.size // 4

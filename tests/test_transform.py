@@ -495,10 +495,6 @@ class TestStackedIntegrals:
         with pytest.raises(ConvergenceError) as info:
             orthogonality_matrix_j(2, LineIntegralParams(tol=1e-16, max_segments=12))
         assert "t=0.0" in str(info.value) and "G[0, 2]" in str(info.value)
-        with pytest.raises(ConvergenceError) as info:
-            bessel_projection(BesselSeries([1.0]), 1, TransformConfig(
-                line_params=LineIntegralParams(tol=1e-16, max_segments=12)))
-        assert str(info.value).endswith("for c_0, c_1, K_0, K_1")
 
     def test_inverse_grid_names_failing_index(self, config):
         g = BesselSeries([2.0])
@@ -744,21 +740,28 @@ class TestExactSeriesPath:
 
     @pytest.mark.parametrize("degree", [32, 64, 128])
     def test_projection_recovers_high_degree(self, degree):
-        # degree 128 needs 1304 core segments
+        # degree 128 has a core of 1304 segments, at the default config
         rng = np.random.default_rng(degree)
         c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
-        cfg = TransformConfig(line_params=LineIntegralParams(max_segments=1304))
-        got = bessel_projection(BesselSeries(c), degree, cfg).coeffs
+        got = bessel_projection(BesselSeries(c), degree, TransformConfig()).coeffs
         assert np.max(np.abs(got - c)) < 1e-12
 
-    def test_segment_cap(self):
-        # nmax 70 needs 392 core segments (R = 98 * 2 pi >= 70^2 / 8), 71 needs 404
+    def test_projection_to_high_nmax(self):
+        # 2 j_0 projected up to the supported maximum: nmax 70 has a core of
+        # 392 segments (R = 98 * 2 pi >= 70^2 / 8), 71 of 404 and 128 of 1304
         g = BesselSeries([2.0])
-        got = bessel_projection(g, 70, TransformConfig()).coeffs
-        assert np.max(np.abs(got - np.eye(71)[0] * 2.0)) < 1e-13
-        with pytest.raises(ConvergenceError) as info:
-            bessel_projection(g, 71, TransformConfig())
-        message = str(info.value)
-        assert message.startswith("line integral at t=0.0 needs 404 core segments, "
-                                  "more than max_segments=400 for c_0, c_1,")
-        assert message.endswith(", K_70, K_71")
+        for nmax in (70, 71, 128):
+            got = bessel_projection(g, nmax, TransformConfig()).coeffs
+            assert np.max(np.abs(got - np.eye(nmax + 1)[0] * 2.0)) < 1e-13
+
+    @pytest.mark.parametrize("degree", [0, 8, 70, 71, 128])
+    def test_projection_reads_no_config(self, degree):
+        # a tolerance and a segment cap that stop every accelerated line
+        # integral, or no config at all, leave a series projection's bits
+        rng = np.random.default_rng(degree)
+        c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        want = bessel_projection(BesselSeries(c), degree, TransformConfig()).coeffs
+        tight = TransformConfig(line_params=LineIntegralParams(tol=1e-16, max_segments=12))
+        for config in (tight, None):
+            assert same_bits(bessel_projection(BesselSeries(c), degree, config).coeffs, want)
+        assert np.max(np.abs(want - c)) < 1e-12
