@@ -90,35 +90,12 @@ def _threshold(text):
 _threshold.__name__ = "float"  # unparsable text reads "invalid float value"
 
 
-_CONFIG_FLAGS = {
-    "normalization": dict(choices=[CALIBRATED, PAPER_QUARTER]),
-    "max-segments": dict(type=int, help="line-integral segment cap"),
-    "show-config": dict(action="store_true",
-                        help="print the effective configuration to stderr"),
-}
-
-
-def _add_common(p, *flags):
-    """--out and the named _CONFIG_FLAGS; a command accepts only the config
-    flags it reads, and every other config field keeps its default.
-    --show-config prints tol and the knobs those flags set: every command
-    that accepts it runs the accelerated line engine."""
-    p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.set_defaults(normalization=CALIBRATED, max_segments=LineIntegralParams.max_segments,
-                   show_config=False, knobs=["tol", *(f.replace("-", "_") for f in flags)])
-    for flag in flags:
-        p.add_argument("--" + flag, **_CONFIG_FLAGS[flag])
-
-
-def _build_config(args):
-    params = LineIntegralParams(max_segments=args.max_segments)
-    config = TransformConfig(normalization=args.normalization, line_params=params)
-    if args.show_config:
-        effective = {"normalization": config.normalization, "tol": params.tol,
-                     "max_segments": params.max_segments}
-        print(json.dumps({k: v for k, v in effective.items() if k in args.knobs}, indent=2),
-              file=sys.stderr)
-    return config
+def _config(args):
+    """The TransformConfig of --normalization and --max-segments, or None for
+    a command that takes neither: it runs no accelerated line integral."""
+    if "normalization" not in args:
+        return None
+    return TransformConfig(args.normalization, LineIntegralParams(max_segments=args.max_segments))
 
 
 def _load(path, kind):
@@ -147,8 +124,9 @@ def _cmd_gauss_rule(args):
 
 
 def _cmd_on_grid(kind, transform, var, args):
-    """transform(series, grid, config) of a series of the given kind."""
-    config = _build_config(args)
+    """transform(series, grid, config) of a series of the given kind; the
+    config is built before the series is read."""
+    config = _config(args)
     series = _load(getattr(args, "in"), kind)
     xs = _grid(args, var)
     vs = transform(series, xs, config)
@@ -158,10 +136,10 @@ def _cmd_on_grid(kind, transform, var, args):
 
 
 def _cmd_project(kind, project, args):
-    """The coefficient document project(series, nmax, config)."""
-    config = _build_config(args)
+    """The coefficient document project(series, nmax, None): the projection
+    of a series reads neither a config nor a rule."""
     series = _load(getattr(args, "in"), kind)
-    _write_json(args.out, series_to_json(project(series, args.nmax, config)))
+    _write_json(args.out, series_to_json(project(series, args.nmax, None)))
     return 0
 
 
@@ -180,8 +158,7 @@ def _cmd_bauer_check(args):
 
 
 def _cmd_ortho_check(args):
-    config = _build_config(args)
-    gram = orthogonality_matrix_j(args.nmax, config.line_params)
+    gram = orthogonality_matrix_j(args.nmax, LineIntegralParams(max_segments=args.max_segments))
     n = np.arange(args.nmax + 1)
     scaled = gram.diagonal() * (2 * n + 1)
     const = float(np.mean(scaled))
@@ -204,7 +181,7 @@ def _cmd_ortho_check(args):
 
 
 def _cmd_calibrate(args):
-    c_star = calibrate_normalization(_build_config(args))
+    c_star = calibrate_normalization(None)
     _write_json(args.out, {
         "C_star": c_star,
         "paper_C": PAPER_C,
@@ -235,43 +212,35 @@ def build_parser():
     p = sub.add_parser("eval-jn", help="spherical Bessel j_n on a z grid")
     p.add_argument("--n", type=int, required=True)
     _add_grid_flags(p, "z", 0.0, 10.0)
-    _add_common(p)
     p.set_defaults(fn=partial(_cmd_eval, "z", spherical_j_all))
 
     p = sub.add_parser("eval-pn", help="Legendre P_n on a t grid")
     p.add_argument("--n", type=int, required=True)
     _add_grid_flags(p, "t", -1.0, 1.0)
-    _add_common(p)
     p.set_defaults(fn=partial(_cmd_eval, "t", legendre_all))
 
     p = sub.add_parser("gauss-rule", help="Gauss-Legendre nodes and weights")
-    _add_common(p)
     p.add_argument("--npoints", type=int, default=32, help="rule size")
     p.set_defaults(fn=_cmd_gauss_rule)
 
     p = sub.add_parser("forward", help="forward transform of a series on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "z", 0.0, 10.0)
-    _add_common(p)
     p.set_defaults(fn=partial(_cmd_on_grid, LegendreSeries, forward_transform, "z"))
 
     p = sub.add_parser("inverse", help="inverse transform on a t grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "t", -1.0, 1.0)
-    _add_common(p, "normalization", "max-segments", "show-config")
     p.set_defaults(fn=partial(_cmd_on_grid, BesselSeries, inverse_transform, "t"))
 
     p = sub.add_parser("project-legendre", help="Legendre coefficients of a series")
     p.add_argument("--in", required=True, help="series JSON path")
     p.add_argument("--nmax", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=partial(_cmd_project, LegendreSeries, lambda f, nmax, config:
-                              legendre_projection(f, nmax)))
+    p.set_defaults(fn=partial(_cmd_project, LegendreSeries, legendre_projection))
 
     p = sub.add_parser("project-bessel", help="spherical-Bessel coefficients")
     p.add_argument("--in", required=True, help="series JSON path")
     p.add_argument("--nmax", type=int, required=True)
-    _add_common(p)
     p.set_defaults(fn=partial(_cmd_project, BesselSeries, bessel_projection))
 
     p = sub.add_parser("bauer-check", help="plane-wave expansion gate")
@@ -279,7 +248,6 @@ def build_parser():
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--nmax", type=int, default=60)
     p.add_argument("--tol", type=_threshold, default=1e-10)
-    _add_common(p)
     p.set_defaults(fn=_cmd_bauer_check)
 
     p = sub.add_parser("ortho-check", help="measured j_n orthogonality gate")
@@ -288,17 +256,14 @@ def build_parser():
                    help="off-diagonal ceiling")
     p.add_argument("--diag-rel-tol", type=_threshold, default=1e-4,
                    help="relative spread ceiling for K_n (2n+1)")
-    _add_common(p, "max-segments", "show-config")
     p.set_defaults(fn=_cmd_ortho_check)
 
     p = sub.add_parser("calibrate", help="measure the inverse divisor C*")
-    _add_common(p)
     p.set_defaults(fn=_cmd_calibrate)
 
     p = sub.add_parser("roundtrip", help="inverse-then-forward on a z grid")
     p.add_argument("--in", required=True, help="series JSON path")
     _add_grid_flags(p, "z", 0.0, 10.0)
-    _add_common(p, "normalization", "max-segments", "show-config")
     p.set_defaults(fn=partial(_cmd_on_grid, BesselSeries, roundtrip, "z"))
 
     p = sub.add_parser("solve-ode", help="solve L g = h by symbol division")
@@ -307,9 +272,18 @@ def build_parser():
     p.add_argument("--nmax", type=int, default=16)
     p.add_argument("--residual-threshold", type=_threshold, default=None)
     _add_grid_flags(p, "z", -10.0, 10.0, 9)
-    _add_common(p)
     p.set_defaults(fn=_cmd_solve_ode)
 
+    # --out on every command; the accelerated line engine's tuning flags on the
+    # three that run it
+    for name, p in sub.choices.items():
+        p.add_argument("--out", default="-", help="output path, '-' for stdout")
+        if name in ("inverse", "roundtrip"):
+            p.add_argument("--normalization", choices=[CALIBRATED, PAPER_QUARTER],
+                           default=CALIBRATED, help="inverse divisor: measured C* or printed 4")
+        if name in ("inverse", "roundtrip", "ortho-check"):
+            p.add_argument("--max-segments", type=int, default=LineIntegralParams.max_segments,
+                           help="tail-segment cap of the accelerated line engine")
     return parser
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularSymbolError
-from .specfun import MAX_ORDER, _check_order
+from .specfun import MAX_ORDER, _check_order, _real
 from .transform import (BesselSeries, LegendreSeries, _as_coeffs, _coeffs_from_json,
                         _coeffs_to_json, coeff_bar, coeff_unbar, forward_transform)
 
@@ -44,7 +44,7 @@ class DifferentialOperator:
 
     def symbol(self, t):
         """F(it) = sum_k a_k (it)^k, vectorized over finite t."""
-        t = np.asarray(t, dtype=float)
+        t = _real(t, "operator symbol: t")
         if not np.all(np.isfinite(t)):
             raise DomainError("operator symbol: t must be finite")
         it = 1j * t
@@ -58,7 +58,7 @@ class DifferentialOperator:
 
 def symbol_eval(op, t):
     """F(it) at a single real t."""
-    return complex(op.symbol(np.asarray(float(t))))
+    return complex(op.symbol(t))
 
 
 def apply_operator(op, f, z, config):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, EvaluationError, InvalidRuleError
+from .specfun import _real
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
@@ -74,6 +75,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.nodes) or np.iscomplexobj(self.weights):
+            raise InvalidRuleError("nodes and weights must be real")
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
@@ -473,4 +476,4 @@ def integrate_oscillatory_line(envelope, t, params=None):
     if params is None:
         params = LineIntegralParams()
     return complex(_line_integrals(lambda y: _eval_integrand(envelope, y)[None],
-                                   float(t), params)[0])
+                                   float(_real(t, "t")), params)[0])

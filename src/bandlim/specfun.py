@@ -25,6 +25,7 @@ MAX_ORDER = 128
 _SERIES_CUTOFF = 0.5   # |z| below this: ascending series
 _MILLER_EXTRA = 34     # extra downward-recurrence orders before normalization
 _RESCALE_LIMIT = 1e250
+_FLOAT = np.dtype(float)
 
 
 def _check_order(n):
@@ -35,6 +36,21 @@ def _check_order(n):
     return int(n)
 
 
+def _real(x, what):
+    """x as a float array, bit for bit if it is real; an entry with a nonzero
+    imaginary part raises DomainError instead of being cut to its real part.
+    Every z and t entering the library passes here, and a float array, as
+    the line engine's nodes are, pays one dtype test."""
+    x = np.asarray(x)
+    if x.dtype is not _FLOAT:
+        if x.dtype.kind == "c":
+            if np.any(x.imag):
+                raise DomainError(f"{what} must be real")
+            x = x.real
+        x = x.astype(float)
+    return x
+
+
 def legendre_all(nmax, t):
     """All Legendre polynomials P_0(t) .. P_nmax(t) in one recurrence pass.
 
@@ -42,7 +58,7 @@ def legendre_all(nmax, t):
     shape (nmax+1,) + shape(t).
     """
     nmax = _check_order(nmax)
-    t = np.asarray(t, dtype=float)
+    t = _real(t, "legendre_all: t")
     if not np.all(np.abs(t) <= 1.0):  # NaN fails too
         raise DomainError("legendre_all: every t must lie in [-1, 1]")
     out = np.empty((nmax + 1,) + t.shape, dtype=float)
@@ -117,7 +133,7 @@ def _jn_miller(nmax, z):
 
 def _jn_table(nmax, z):
     """j_0..j_nmax at every point of array z; shape (nmax+1,) + z.shape."""
-    z = np.asarray(z, dtype=float)
+    z = _real(z, "spherical_j: argument")
     if not np.all(np.isfinite(z)):
         raise DomainError("spherical_j: argument must be finite")
     flat = z.reshape(-1)
@@ -179,7 +195,7 @@ def half_integer_bessel_via_poisson(n, z, rule):
     with nu = n + 1/2, so Gamma(nu+1/2) = Gamma(n+1) = n!.
     """
     n = _check_order(n)
-    z = float(z)
+    z = float(_real(z, "half_integer_bessel_via_poisson: z"))
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError("half_integer_bessel_via_poisson: z must be positive and finite")
     nu = n + 0.5

@@ -24,7 +24,7 @@ from .errors import (ConvergenceError, DomainError, InvalidOrderError, InvalidRu
                      RuleTooSmallError)
 from .quadrature import (LineIntegralParams, _eval_integrand, _hankel_core, _hankel_radius,
                          _hankel_tails, _line_integrals, _line_rows, _seg_rule)
-from .specfun import MAX_ORDER, _check_order, _hankel_table, _jn_table, legendre_all
+from .specfun import MAX_ORDER, _check_order, _hankel_table, _jn_table, _real, legendre_all
 
 CALIBRATED = "calibrated"
 PAPER_QUARTER = "paper-quarter"
@@ -124,6 +124,7 @@ def forward_transform(f, z, config):
     nodes of the cached segment rule (quadrature._seg_rule); z is a finite
     scalar or array, refused before f is called, and the result has its
     shape.  config is read for nothing."""
+    z = _real(z, "z")
     if not np.all(np.isfinite(z)):
         raise DomainError("z must be finite")
     if not isinstance(f, LegendreSeries):
@@ -137,7 +138,7 @@ def inverse_transform(g, t, config):
     (the result has its shape); every |t| < 1 strictly, which is checked
     before any line integral runs.  A t and its -t are streamed rows of one
     stack, and a grid raises the error its first failing point raises alone."""
-    t = np.asarray(t, dtype=float)
+    t = _real(t, "inverse_transform: t")
     if not np.all(np.abs(t) < 1.0):  # NaN fails too
         raise DomainError(
             f"inverse_transform: |t| = {np.max(np.abs(t))} not inside (-1, 1)")
@@ -257,7 +258,7 @@ def bauer_partial_sum(z, t, order):
     """Partial sum sum_{n<=order} (2n+1) i^n P_n(t) j_n(z) of the plane wave
     e^{izt}."""
     order = _check_order(order)
-    z, t = float(z), float(t)
+    z, t = (float(_real(v, "bauer_partial_sum: z and t")) for v in (z, t))
     if abs(t) > 1.0:
         raise DomainError(f"bauer_partial_sum: |t| = {abs(t)} > 1")
     p = legendre_all(order, t)

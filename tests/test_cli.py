@@ -1,4 +1,6 @@
 import argparse
+import cmath
+import contextlib
 import dataclasses
 import io
 import json
@@ -13,7 +15,9 @@ import bandlim.cli
 import bandlim.quadrature
 import bandlim.transform
 from bandlim.cli import build_parser, main
-from bandlim.transform import LegendreSeries, TransformConfig, coeff_unbar
+from bandlim.quadrature import LineIntegralParams
+from bandlim.transform import (LegendreSeries, TransformConfig, coeff_bar, coeff_unbar,
+                               series_from_json)
 
 
 def run(capsys, *argv):
@@ -347,11 +351,17 @@ class TestPlumbing:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_max_segments_flag(self, capsys):
-        code, _, err = run(capsys, "ortho-check", "--nmax", "0", "--max-segments",
-                           "123", "--show-config", "--out", "-")
+    def test_max_segments_flag(self, capsys, monkeypatch):
+        # --max-segments reaches the engine: the LineIntegralParams that
+        # ortho-check passes to orthogonality_matrix_j
+        passed = []
+        gram = bandlim.cli.orthogonality_matrix_j
+        monkeypatch.setattr(bandlim.cli, "orthogonality_matrix_j",
+                            lambda nmax, params: passed.append(params) or gram(nmax, params))
+        code, _, _ = run(capsys, "ortho-check", "--nmax", "0", "--max-segments",
+                         "123", "--out", "-")
         assert code == 0
-        assert json.loads(err)["max_segments"] == 123
+        assert passed == [LineIntegralParams(max_segments=123)]
 
     def test_max_segments_below_minimum(self, capsys):
         code, _, err = run(capsys, "ortho-check", "--max-segments", "5",
@@ -420,35 +430,20 @@ class TestPlumbing:
 
 
 # the config flags each command reads; --out is on every command
-CONFIG_FLAGS = ("--npoints", "--normalization", "--max-segments",
-                "--show-config")
+CONFIG_FLAGS = ("--npoints", "--normalization", "--max-segments")
 ACCEPTED = {
     "eval-jn": (),
     "eval-pn": (),
     "gauss-rule": ("--npoints",),
     "forward": (),
-    "inverse": ("--normalization", "--max-segments", "--show-config"),
+    "inverse": ("--normalization", "--max-segments"),
     "project-legendre": (),
     "project-bessel": (),
     "bauer-check": (),
-    "ortho-check": ("--max-segments", "--show-config"),
+    "ortho-check": ("--max-segments",),
     "calibrate": (),
-    "roundtrip": ("--normalization", "--max-segments", "--show-config"),
+    "roundtrip": ("--normalization", "--max-segments"),
     "solve-ode": (),
-}
-
-
-# what --show-config prints for each command that takes a config; None
-# where the command reads no knob and refuses the flag
-SHOWN = {
-    "forward": None,
-    "inverse": {"normalization": "calibrated", "tol": 1e-9, "max_segments": 400},
-    "project-legendre": None,
-    "project-bessel": None,
-    "ortho-check": {"tol": 1e-9, "max_segments": 400},
-    "calibrate": None,
-    "roundtrip": {"normalization": "calibrated", "tol": 1e-9, "max_segments": 400},
-    "solve-ode": None,
 }
 
 
@@ -463,7 +458,7 @@ class TestConfigFlags:
             assert "--out" in options
             assert {f for f in CONFIG_FLAGS if f in options} == set(flags)
             slots += 1 + len(flags)
-        assert slots == 21
+        assert slots == 18
 
     @pytest.mark.parametrize("argv", [
         "eval-jn --n 1 --z 1 --npoints 8",
@@ -495,18 +490,50 @@ class TestConfigFlags:
         "solve-ode --op {op} --in {g} --z 0",
     ], ids=lambda argv: argv.split()[0])
     def test_show_config_keys(self, capsys, tmp_path, argv):
-        # only the knobs the command reads; a command that reads none
-        # refuses the flag
+        # no command prints config keys: every one refuses --show-config,
+        # the engine's three included, as a flag it does not read
         g = write_series(tmp_path, "g.json", "bessel", [2.0])
         op = tmp_path / "op.json"
         op.write_text(json.dumps({"op": [[1.0, 0.0]]}))
         code, out, err = run(capsys, *argv.format(g=g, op=op).split(),
                              "--show-config", "--out", "-")
-        shown = SHOWN[argv.split()[0]]
-        if shown is None:
-            assert (code, out) == (1, "")
-        else:
-            assert code == 0 and json.loads(err) == shown
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --show-config" in err
+
+    def test_engine_params_built_only_where_the_engine_runs(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # forward, the projections and calibrate build no TransformConfig
+        # and no LineIntegralParams; inverse and roundtrip build one config
+        # each, ortho-check one bare LineIntegralParams
+        built = []
+        for name in ("TransformConfig", "LineIntegralParams"):
+            cls = getattr(bandlim.cli, name)
+            monkeypatch.setattr(bandlim.cli, name, type(name, (cls,), {
+                "__post_init__": lambda self, cls=cls: (built.append(cls.__name__),
+                                                        cls.__post_init__(self))}))
+        g = write_series(tmp_path, "g.json", "bessel", [2.0])
+        for argv, want in [("forward --in {g} --z 1", []),
+                           ("project-legendre --in {g} --nmax 2", []),
+                           ("project-bessel --in {g} --nmax 2", []),
+                           ("calibrate", []),
+                           ("inverse --in {g} --t 0.25", ["LineIntegralParams",
+                                                          "TransformConfig"]),
+                           ("roundtrip --in {g} --z 1", ["LineIntegralParams",
+                                                         "TransformConfig"]),
+                           ("ortho-check --nmax 0", ["LineIntegralParams"])]:
+            built.clear()
+            code, _, _ = run(capsys, *argv.format(g=g).split(), "--out", "-")
+            assert (argv, code, built) == (argv, 0, want)
+
+    @pytest.mark.parametrize("argv", ["inverse --t 0.3", "roundtrip --z 1"],
+                             ids=lambda argv: argv.split()[0])
+    def test_config_refused_before_the_input_is_read(self, capsys, tmp_path, argv):
+        # a bad knob is a domain error (exit 1) even when the input document
+        # is missing (an I/O error, exit 3): the config is built first
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, *argv.split(), "--in", missing,
+                             "--max-segments", "5", "--out", "-")
+        assert (code, out, err) == (1, "", "bandlim: need max_segments >= 12\n")
 
 
 def test_solve_ode_evaluates_g_once_per_point(capsys, tmp_path, monkeypatch):
@@ -609,16 +636,172 @@ def test_digest_corpus_is_valid():
             assert path is None or (CORPUS / path).is_file()
 
 
-def test_corpus_in_one_process_is_order_independent(capsys, monkeypatch):
+@pytest.fixture(scope="module")
+def corpus_runs():
+    """Every corpus entry through bandlim.cli.main in one process, in file
+    order and then reversed: (argv, first, second) per entry in file order,
+    each run its (exit code, stdout, stderr)."""
+    def run_captured(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+    entries = corpus_entries()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(CORPUS)
+        forward = [run_captured(argv) for argv in entries]
+        backward = [run_captured(argv) for argv in reversed(entries)][::-1]
+    return list(zip(entries, forward, backward))
+
+
+def test_corpus_in_one_process_is_order_independent(corpus_runs):
     # the digest runs each entry in a fresh process; here every entry runs
     # in one, in file order and then reversed, so a result that depends on
     # what ran before it (a cache filled by another entry) shows up
-    monkeypatch.chdir(CORPUS)
-    entries = corpus_entries()
-    forward = [run(capsys, *argv) for argv in entries]
-    backward = [run(capsys, *argv) for argv in reversed(entries)][::-1]
     trips = (["bauer-check", "--z", "9", "--t", "0.8", "--nmax", "3", "--out", "-"],
              ["ortho-check", "--nmax", "3", "--tol", "1e-15", "--out", "-"])
-    for argv, first, second in zip(entries, forward, backward):
+    for argv, first, second in corpus_runs:
         assert first == second, argv
         assert first[0] == (2 if argv in trips else 0), argv
+
+
+def _rows(out):
+    """The data rows of a CSV document as a float array."""
+    return np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+
+
+def _input_coeffs(args, kind):
+    """The coefficients of the --in document as a series of the given kind,
+    by the exact map c_n = 2 i^n cbar_n."""
+    series = series_from_json(json.loads((CORPUS / getattr(args, "in")).read_text()))
+    if series.kind != kind:
+        series = coeff_unbar(series) if kind == "bessel" else coeff_bar(series)
+    return series.coeffs
+
+
+def _jn(n, z):
+    """j_n(z) by mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    if z == 0:
+        return float(n == 0)
+    with mpmath.workdps(40):
+        value = float(mpmath.sqrt(mpmath.pi / (2 * abs(z))) * mpmath.besselj(n + 0.5, abs(z)))
+    return (-1) ** n * value if z < 0 else value
+
+
+def _check_eval(out, n, exact):
+    rows = _rows(out)
+    assert np.all(rows[:, 0] == n) and np.all(rows[:, 3] == 0.0)
+    assert max(abs(v - exact(x)) for x, v in rows[:, 1:3]) <= 1e-13
+
+
+def _check_eval_jn(args, out, code):
+    _check_eval(out, args.n, lambda z: _jn(args.n, z))
+
+
+def _check_eval_pn(args, out, code):
+    _check_eval(out, args.n, lambda t: np.polynomial.legendre.legval(t, np.eye(args.n + 1)[-1]))
+
+
+def _check_gauss_rule(args, out, code):
+    nodes, weights = np.polynomial.legendre.leggauss(args.npoints)
+    assert np.max(np.abs(_rows(out) - np.stack([nodes, weights], axis=1))) <= 1e-14
+
+
+def _check_calibrate(args, out, code):
+    doc = json.loads(out)
+    assert abs(doc["C_star"] - 2 * math.pi) <= 1e-14 and doc["paper_C"] == 4.0
+
+
+def _check_grid(out, exact, band):
+    for x, re, im in _rows(out):
+        assert abs(complex(re, im) - exact(x)) <= band, x
+
+
+def _check_forward(args, out, code):
+    # g = sum c_n j_n with c_n = 2 i^n cbar_n, exact at every z
+    c = _input_coeffs(args, "bessel")
+    _check_grid(out, lambda z: sum(cn * _jn(n, z) for n, cn in enumerate(c)), 1e-13)
+
+
+def _check_inverse(args, out, code):
+    # f = sum cbar_n P_n, within 1e-10 for |t| <= 0.9
+    cbar = _input_coeffs(args, "legendre")
+    _check_grid(out, lambda t: np.polynomial.legendre.legval(t, cbar), 1e-10)
+
+
+def _check_roundtrip(args, out, code):
+    # g itself, within 1e-7: the inverse leg's nodes reach |t| = 0.9973
+    c = _input_coeffs(args, "bessel")
+    _check_grid(out, lambda z: sum(cn * _jn(n, z) for n, cn in enumerate(c)), 1e-7)
+
+
+def _check_projection(args, out, kind, band):
+    want = _input_coeffs(args, kind)[:args.nmax + 1]
+    want = np.pad(want, (0, args.nmax + 1 - len(want)))
+    doc = json.loads(out)
+    got = np.array([complex(re, im) for re, im in doc["coeffs"]])
+    assert doc["kind"] == kind and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= band
+
+
+def _check_project_legendre(args, out, code):
+    _check_projection(args, out, "legendre", 0.0)  # the series' own coefficients
+
+
+def _check_project_bessel(args, out, code):
+    _check_projection(args, out, "bessel", 1e-12)
+
+
+def _check_bauer(args, out, code):
+    doc = json.loads(out)
+    err = abs(complex(*doc["partial_sum"]) - cmath.exp(1j * args.z * args.t))
+    assert doc["abs_error"] == pytest.approx(err, abs=1e-16)
+    assert doc["pass"] == (err <= args.tol) == (code == 0)
+
+
+def _check_ortho(args, out, code):
+    # the Gram matrix is pi / (2n+1) delta_nm within the gate's default
+    # off-diagonal ceiling, and pass is what the matrix gives
+    doc = json.loads(out)
+    gram = np.array(doc["matrix"])
+    n = np.arange(args.nmax + 1)
+    assert np.max(np.abs(gram - np.diag(math.pi / (2 * n + 1)))) <= 1e-6
+    scaled = gram.diagonal() * (2 * n + 1)
+    spread = np.max(np.abs(scaled - np.mean(scaled))) / np.mean(scaled)
+    max_off = np.max(np.abs(gram - np.diag(gram.diagonal())))
+    assert doc["pass"] == (max_off <= args.tol and spread <= args.diag_rel_tol) == (code == 0)
+
+
+def _check_solve_ode(args, out, code):
+    # h = 2 j_0, so g(z) = int_-1^1 e^{izt} / F(it) dt: pi / 2 and
+    # ln(201) / 1.01 at z = 0, by mpmath elsewhere, within the printed
+    # residual
+    mpmath = pytest.importorskip("mpmath")
+    assert _input_coeffs(args, "bessel").tolist() == [2.0]
+    op = [complex(re, im) for re, im in json.loads((CORPUS / args.op).read_text())["op"]]
+    doc = json.loads(out)
+    at_zero = {"op.json": math.pi / 2, "op101.json": math.log(201) / 1.01}[args.op]
+    for z, re, im in doc["g"]:
+        exact = at_zero if z == 0 else complex(mpmath.quad(
+            lambda t: mpmath.exp(1j * z * t) / sum(a * (1j * t) ** k for k, a in enumerate(op)),
+            [-1, 1]))
+        assert abs(complex(re, im) - exact) <= doc["residual"], z
+
+
+# an oracle for every command; the bands are README's documented accuracy
+ORACLES = {
+    "eval-jn": _check_eval_jn, "eval-pn": _check_eval_pn, "gauss-rule": _check_gauss_rule,
+    "calibrate": _check_calibrate, "forward": _check_forward, "inverse": _check_inverse,
+    "roundtrip": _check_roundtrip, "project-legendre": _check_project_legendre,
+    "project-bessel": _check_project_bessel, "bauer-check": _check_bauer,
+    "ortho-check": _check_ortho, "solve-ode": _check_solve_ode,
+}
+
+
+def test_corpus_outputs_match_oracles(corpus_runs):
+    # every numeric output of the in-process corpus run, the two gate trips
+    # included, against an oracle the repo has
+    assert set(ORACLES) == set(ACCEPTED)
+    for argv, (code, out, _), _ in corpus_runs:
+        ORACLES[argv[0]](build_parser().parse_args(argv), out, code)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,13 @@ class TestGaussLegendre:
             QuadratureRule(np.array([-0.5, 0.4]), np.array([1.0, 1.0]))
         with pytest.raises(InvalidRuleError, match="sum to 2"):
             QuadratureRule(np.array([-0.5, 0.5]), np.array([0.9, 0.9]))
+        rule = gauss_legendre_rule(4)
+        for nodes, weights in [(rule.nodes + 0.5j, rule.weights),
+                               (rule.nodes, rule.weights + 0j)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no ComplexWarning: refused
+                with pytest.raises(InvalidRuleError, match="must be real"):
+                    QuadratureRule(nodes, weights)
 
 
 class TestIntegrateCompact:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from bandlim import (PAPER_QUARTER, BesselSeries, ConvergenceError,
                      bauer_partial_sum, bessel_projection,
                      calibrate_normalization, coeff_bar, coeff_unbar,
                      forward_transform, gauss_legendre_rule,
+                     half_integer_bessel_via_poisson,
                      integrate_oscillatory_line, inverse_transform,
-                     legendre_projection, orthogonality_matrix_j, roundtrip,
-                     series_from_json, series_to_json, solve, spherical_j)
+                     legendre_all, legendre_projection, orthogonality_matrix_j, roundtrip,
+                     series_from_json, series_to_json, solve, spherical_j,
+                     spherical_j_all, symbol_eval)
 from bandlim.specfun import MAX_ORDER, _jn_table
 
 
@@ -765,3 +768,66 @@ class TestExactSeriesPath:
         for config in (tight, None):
             assert same_bits(bessel_projection(BesselSeries(c), degree, config).coeffs, want)
         assert np.max(np.abs(want - c)) < 1e-12
+
+
+_OP = DifferentialOperator([1.0, 0.0, -1.0])
+
+# every public function of a z or a t: those that take an array, then
+# those that take a scalar only
+REAL_ARGUMENT = [(name, call, True) for name, call in [
+    ("forward_transform", lambda x: forward_transform(LegendreSeries([1.0]), x, None)),
+    ("forward_transform-callable", lambda x: forward_transform(np.exp, x, None)),
+    ("BesselSeries", lambda x: BesselSeries([1.0])(x)),
+    ("LegendreSeries", lambda x: LegendreSeries([1.0, 2.0])(x)),
+    ("inverse_transform", lambda x: inverse_transform(BesselSeries([2.0]), x,
+                                                      TransformConfig())),
+    ("spherical_j_all", lambda x: spherical_j_all(3, x)),
+    ("legendre_all", lambda x: legendre_all(3, x)),
+    ("symbol", _OP.symbol),
+    ("apply_operator", lambda x: apply_operator(_OP, np.exp, x, None)),
+    ("roundtrip", lambda x: roundtrip(BesselSeries([2.0]), x, TransformConfig())),
+    ("g_at", lambda x: solve(_OP, BesselSeries([2.0]), 4, None).g_at(x)),
+]] + [(name, call, False) for name, call in [
+    ("spherical_j", lambda x: spherical_j(2, x)),
+    ("symbol_eval", lambda x: symbol_eval(_OP, x)),
+    ("integrate_oscillatory_line", lambda x: integrate_oscillatory_line(np.sinc, x)),
+    ("bauer_partial_sum-z", lambda x: bauer_partial_sum(x, 0.3, 5)),
+    ("bauer_partial_sum-t", lambda x: bauer_partial_sum(1.0, x, 5)),
+    ("half_integer_bessel_via_poisson",
+     lambda x: half_integer_bessel_via_poisson(2, x, gauss_legendre_rule(8))),
+]]
+ALL_REAL_ARGUMENT = pytest.mark.parametrize(
+    "call, takes_array", [pytest.param(call, takes_array, id=name)
+                          for name, call, takes_array in REAL_ARGUMENT])
+
+
+class TestRealArguments:
+    """A z or t with a nonzero imaginary part raises DomainError, where a
+    float cast would cut an array to its real part (with a ComplexWarning)
+    and refuse a scalar with TypeError; real values keep their bits."""
+
+    @ALL_REAL_ARGUMENT
+    @pytest.mark.parametrize("value", [0.25 + 0.5j, np.complex128(0.25 + 0.5j), 0.25 + 1e-300j],
+                             ids=["complex", "numpy-complex", "tiny-imaginary"])
+    def test_complex_refused(self, call, takes_array, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be real"):
+                call(np.array([0.5, value]) if takes_array else value)
+
+    @ALL_REAL_ARGUMENT
+    def test_zero_imaginary_part_keeps_bits(self, call, takes_array):
+        x = np.array([0.25, -0.5]) if takes_array else 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.asarray(call(x + 0j))
+        assert same_bits(got, np.asarray(call(x)))
+
+    @pytest.mark.parametrize("transform", [
+        forward_transform, lambda f, z, config: apply_operator(_OP, f, z, config)],
+        ids=["forward_transform", "apply_operator"])
+    def test_refused_before_f_is_called(self, transform):
+        calls = []
+        with pytest.raises(DomainError, match="z must be real"):
+            transform(lambda t: calls.append(t) or np.exp(t), np.array([1.0 + 1j]), None)
+        assert calls == []
