@@ -203,11 +203,24 @@ def _cmd_solve_ode(args):
     return 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which reports the arguments it does not take
+    with its own usage; argparse would hand them back to the top parser,
+    whose usage names no subcommand's flags."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bandlim",
         description="Legendre / spherical-Bessel transform toolbox")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("eval-jn", help="spherical Bessel j_n on a z grid")
     p.add_argument("--n", type=int, required=True)

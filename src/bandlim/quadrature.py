@@ -3,9 +3,10 @@
 The line integrals here are of the form  int_-inf^inf g(y) e^{-iyt} dy
 with an envelope g that decays only like 1/|y|, so they converge
 conditionally and plain truncation stalls.  The engine integrates a core
-window exactly, splits each tail into half-period segments of length pi,
-and accelerates the segment partial sums; each convergence check
-integrates its new segments of both tails with one envelope call.  With
+window exactly, in chunks of four segments, splits each tail into
+half-period segments of length pi, and accelerates the segment partial
+sums.  Each core chunk and its mirror share one envelope call, as each
+convergence check's new segments of both tails do.  With
 length-pi segments the two modes of a spherical-Bessel-type envelope,
 e^{iy(1-t)} and e^{-iy(1+t)}, share the per-segment ratio -e^{-i pi t} on
 the right tail (its conjugate on the left), which a known-ratio deflation
@@ -191,7 +192,9 @@ def _seg_rule():
 
 def _segment_integral(fn, a, b):
     """int_a^b fn by the segment rule, row by row, for scalar ends; fn maps
-    the nodes to a stack of shape (k, m) (see _line_integrals)."""
+    the nodes to a stack of shape (k, m) (see _line_integrals).  The line
+    engine calls it only for the middle chunk of an odd core; ends that
+    come in pairs or stacks go to _segment_integrals."""
     return _segment_integrals(fn, np.asarray(a), np.asarray(b))
 
 
@@ -387,15 +390,19 @@ def _line_rows(envelope, t, params, labels=None):
     envelope maps nodes y of shape (m,) to a stack (k, m), or (1, m) shared
     by every row, of envelopes that decay like 1/|y|.  t is a scalar, or a
     1-d array of k values t_i that share the one |t| on which the nodes
-    depend.  The right and left tails of row i are rows i and k + i of one
-    stack of partial sums; each check integrates the new segments of both
-    tails with one envelope call.  A row is frozen at the first check where
-    its successive accelerated values agree to params.tol relatively, so it
-    gets exactly the value and history of a one-row call on its envelope
-    values and t_i, and the first row still open fails as that call does:
-    ConvergenceError naming its t_i, and the name of each open row from
-    labels, an iterable of row names read only then, once max_segments is
-    exhausted, with its last two values.
+    depend.  The core is integrated in chunks of four segments: chunk i and
+    its mirror nchunks - 1 - i in one envelope call, the middle chunk of an
+    odd count in one of its own, each chunk with its own nodes and weighted
+    sum, and the chunk values added in chunk order.  The right and left
+    tails of row i are rows i and k + i of one stack of partial sums; each
+    check integrates the new segments of both tails with one envelope call.
+    A row is frozen at the first check where its successive accelerated
+    values agree to params.tol relatively, so it gets exactly the value and
+    history of a one-row call on its envelope values and t_i, and the first
+    row still open fails as that call does: ConvergenceError naming its
+    t_i, and the name of each open row from labels, an iterable of row
+    names read only then, once max_segments is exhausted, with its last two
+    values.
     """
     t = np.asarray(t, dtype=float)
     abs_t = float(np.max(np.abs(t)))
@@ -414,7 +421,14 @@ def _line_rows(envelope, t, params, labels=None):
 
     nchunks = max(2, math.ceil(2.0 * halfwidth / (_CORE_CHUNK_PERIODS * L)))
     edges = np.linspace(-halfwidth, halfwidth, nchunks + 1)
-    core = sum(_segment_integral(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
+    lo, hi = edges[:-1], edges[1:]
+    mid = nchunks // 2
+    # chunk i and its mirror nchunks - 1 - i share one envelope call; the
+    # middle chunk of an odd count has one of its own
+    pairs = [_segment_integrals(fn, lo[[i, -1 - i]], hi[[i, -1 - i]]) for i in range(mid)]
+    middle = [_segment_integral(fn, lo[mid], hi[mid])] if nchunks % 2 else []
+    # summed in chunk order 0 .. nchunks - 1, left to right on the line
+    core = sum([p[:, 0] for p in pairs] + middle + [p[:, 1] for p in reversed(pairs)])
     k = core.size
 
     # with L = pi both Bessel-tail modes share one per-segment ratio per tail

@@ -60,3 +60,20 @@ def test_traced_calls_give_every_per_layer_metric():
     # only the two explicit calibrations count: an inverse reads its divisor
     # from the cached moments without calibrating
     assert metrics["transform.calibrate.calls"]["value"] == 2
+
+
+def test_traced_line_integral_keeps_its_value():
+    # the tracer reads _segment_integral's ends as scalars: at t = 0.3 the
+    # core is two pairs of mirror chunks and a middle chunk, and only the
+    # middle one goes through _segment_integral
+    j0 = bandlim.transform.BesselSeries([1.0])
+    want = bandlim.quadrature.integrate_oscillatory_line(j0, 0.3)
+    tracer = load_tracing().Tracer(bandlim)
+    tracer.install()
+    try:
+        got = bandlim.quadrature.integrate_oscillatory_line(j0, 0.3)
+    finally:
+        tracer.uninstall()
+    assert type(got) is complex
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert tracer.metrics()["quadrature.line.integrals"]["value"] == 1

@@ -17,7 +17,7 @@ from bandlim.quadrature import (_CHECK_EVERY, _CORE_CHUNK_PERIODS, _EDGE_SCALE,
                                 _SEGMENT, _UNC_FACTOR, _accelerate,
                                 _eval_integrand, _line_integrals, _seg_rule)
 from bandlim.specfun import _jn_table
-from bandlim.transform import BesselSeries, roundtrip
+from bandlim.transform import BesselSeries, orthogonality_matrix_j, roundtrip
 
 # callables that do not map an array to an array of the same shape
 NOT_VECTORIZED = {
@@ -544,22 +544,51 @@ class TestBatchedTails:
         with pytest.raises(TypeError):
             integrate_oscillatory_line(j0_env, np.array([0.3, -0.3]))
 
-    @pytest.mark.parametrize("t", [np.float64(0.3), np.array([0.3, -0.3])])
-    def test_one_envelope_call_per_check(self, t, monkeypatch):
-        # t = 0.3: core half-width 10 pi, so 5 chunks of 4 pi
+    @staticmethod
+    def count_checks(monkeypatch, sizes):
+        """Patches the accelerator to note, at each convergence check, how
+        many envelope calls sizes holds; returns those counts."""
         checks = []
         accelerate = bandlim.quadrature._accelerate
         monkeypatch.setattr(bandlim.quadrature, "_accelerate",
-                            lambda *args: checks.append(1) or accelerate(*args))
-        sizes = []
+                            lambda *args: checks.append(len(sizes)) or accelerate(*args))
+        return checks
 
+    @staticmethod
+    def j0_sized(sizes):
         def env(y):
             sizes.append(y.size)
             return j0_env(y)[None]
-        _line_integrals(env, t, LineIntegralParams())
+        return env
+
+    @pytest.mark.parametrize("t", [np.float64(0.3), np.array([0.3, -0.3])])
+    def test_one_envelope_call_per_check(self, t, monkeypatch):
+        # t = 0.3: core half-width 10 pi, so 5 chunks of 4 pi: chunks 0 and 4,
+        # then 1 and 3, share a call, and the middle chunk 2 has its own
+        sizes = []
+        checks = self.count_checks(monkeypatch, sizes)
+        _line_integrals(self.j0_sized(sizes), t, LineIntegralParams())
         tails = [2 * _FIRST_CHECK] + [2 * _CHECK_EVERY] * (len(checks) - 1)
         assert len(checks) >= 2
-        assert sizes == [32] * 5 + [32 * n for n in tails]
+        assert sizes == [64, 64, 32] + [32 * n for n in tails]
+
+    def test_edge_core_in_mirror_pairs(self, monkeypatch):
+        # t = 1 - 1e-3: core half-width 6367 pi, so 3184 chunks in 1592 pairs,
+        # then the first check's tail segments
+        sizes = []
+        checks = self.count_checks(monkeypatch, sizes)
+        _line_integrals(self.j0_sized(sizes), 1 - 1e-3, LineIntegralParams())
+        assert sizes[:checks[0]] == [64] * 1592 + [64 * _FIRST_CHECK]
+
+    def test_gram_core_in_one_pair(self, monkeypatch):
+        # the Gram matrix integrates at t = 0: core half-width 7 pi, 4 chunks
+        sizes = []
+        checks = self.count_checks(monkeypatch, sizes)
+        table = bandlim.transform._jn_table
+        monkeypatch.setattr(bandlim.transform, "_jn_table",
+                            lambda nmax, y: sizes.append(y.size) or table(nmax, y))
+        orthogonality_matrix_j(3)
+        assert sizes[:checks[0]] == [64, 64, 64 * _FIRST_CHECK]
 
 
 class TestHankelTails:
