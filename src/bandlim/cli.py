@@ -12,6 +12,7 @@ non-convergence or a violated check tolerance, 3 I/O error.
 
 import argparse
 import json
+import re
 import sys
 from functools import partial
 
@@ -204,9 +205,13 @@ def _cmd_solve_ode(args):
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, which reports the arguments it does not take
-    with its own usage; argparse would hand them back to the top parser,
-    whose usage names no subcommand's flags."""
+    """A subcommand's parser: it names the arguments it does not take in its
+    own usage, not in the top parser's (argparse hands them back up), and
+    reads a negative number with an exponent (-1e-05) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)(e[+-]?\d+)?$", re.I)
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)

@@ -62,11 +62,11 @@ def symbol_eval(op, t):
 
 
 def apply_operator(op, f, z, config):
-    """(L g)(z) = int_-1^1 f(t) F(it) e^{izt} dt, differentiation done
-    under the integral sign; f is a LegendreSeries or vectorized callable
-    on [-1,1], and z a scalar or an array (the result has its shape).  The
-    product f F is a callable, so it is interpolated at the 32 nodes of the
-    cached segment rule (see forward_transform); config is read for nothing."""
+    """(L g)(z) = int_-1^1 f(t) F(it) e^{izt} dt (differentiation under the
+    integral) for a LegendreSeries or vectorized callable f on [-1,1] and a
+    scalar or array z (the result has its shape).  f F, a series f's too, is
+    interpolated at the cached segment rule's 32 nodes (see forward_transform),
+    exact only if deg f + order <= 31; config is read for nothing."""
     return forward_transform(lambda t: f(t) * op.symbol(t), z, config)
 
 
@@ -106,16 +106,18 @@ def _check_symbol(op):
     return float(vals[k])
 
 
-def _symbol_section(op, n):
-    """Columns 0..n of F(iJ) on n + 1 + order rows, by Horner: exact, as the
-    tridiagonal J (t P_m = ((m+1) P_{m+1} + m P_{m-1})/(2m+1)) moves each
-    column's support down by at most one row per power."""
-    m = np.arange(1.0, n + 1 + op.order)
-    jacobi = np.diag(m / (2 * m - 1), -1) + np.diag(m / (2 * m + 1), 1)
-    eye = np.eye(len(m) + 1, n + 1)
-    out = 0 * eye
-    for a in op.coeffs[::-1]:
-        out = 1j * jacobi @ out + a * eye
+def _apply_symbol(op, x):
+    """F(iJ) x for Legendre coefficients in the columns of x, by Horner in a
+    fixed order, J the recurrence t P_m = ((m+1) P_{m+1} + m P_{m-1})/(2m+1):
+    exact on op.order more rows, each power moving the support one row down."""
+    x = np.concatenate([x, np.zeros((op.order, x.shape[1]))])
+    m = np.arange(1.0, len(x))[:, None]
+    lower, upper = 1j * (m / (2 * m - 1)), 1j * (m / (2 * m + 1))
+    out = op.coeffs[-1] * x
+    for a in op.coeffs[-2::-1]:
+        out, prev = a * x, out
+        out[1:] += lower * prev[:-1]
+        out[:-1] += upper * prev[1:]
     return out
 
 
@@ -141,12 +143,13 @@ def solve(op, h, nmax, config, residual_threshold=None):
     floor = _check_symbol(op)
     hbar = coeff_bar(h).coeffs
     for n in [n for n in _SECTIONS if n + 1 >= hbar.size]:
-        section = _symbol_section(op, n)
+        section = _apply_symbol(op, np.eye(n + 1))
         rhs = np.pad(hbar, (0, len(section) - hbar.size))
         c = np.linalg.solve(section[:n + 1], rhs[:n + 1])
         if np.max(np.abs(c[-3:])) <= n * _EPS * np.max(np.abs(c)):
             break
-    residual = float(max(1.0, 1.0 / floor) * np.sum(2 * np.abs(section @ c - rhs))
+    r = _apply_symbol(op, c[:, None])[:, 0] - rhs
+    residual = float(max(1.0, 1.0 / floor) * np.sum(2 * np.abs(r))
                      + 2 * n * _EPS * np.sum(np.abs(c)))
     if residual_threshold is not None and residual > residual_threshold:
         raise ConvergenceError(

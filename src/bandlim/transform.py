@@ -215,19 +215,19 @@ def _line_moments(order):
     pi / (2a+1) delta_ab).
 
     The core [-R, R], R = _hankel_radius(order), is one _jn_table J on the
-    segment rule's nodes with weights w: J w and (J w) J^T.  The tails
-    beyond R are closed forms of the Hankel expansion (_hankel_tails), so
-    neither tol nor an accelerator plays a part.  Cached per order: each
-    order's table is built once in a process, and a result read from it
-    depends only on the order, not on what was computed before; all 129
-    orders hold about 6 MB.
+    segment rule's nodes with weights w: J w and (J w) J^T, summed by einsum,
+    not BLAS, so no bit depends on the thread count.  The tails beyond R are
+    closed forms of the Hankel expansion (_hankel_tails), with no tol and no
+    accelerator.  Cached per order: each order's table is built once in a
+    process, and a result read from it depends only on the order, not on
+    what was computed before; all 129 orders hold about 6 MB.
     """
     radius = _hankel_radius(order)
     nodes, weights = _hankel_core(radius)
     table = _jn_table(order, nodes)
     tail_v, tail_m = _hankel_tails(_hankel_table(order, radius), radius)
-    v = table @ weights + tail_v
-    gram = (table * weights) @ table.T + tail_m
+    v = np.einsum("ik,k->i", table, weights, optimize=False) + tail_v
+    gram = np.einsum("ik,jk->ij", table * weights, table, optimize=False) + tail_m
     v.flags.writeable = gram.flags.writeable = False
     return v, gram
 
@@ -238,17 +238,17 @@ def bessel_projection(g, nmax, config):
     matrix M of the cached line moments (_line_moments).
 
     For a BesselSeries g of degree N every integral is an entry of M at
-    order max(N, nmax): c = g.coeffs M[:N+1, :nmax+1] / diag(M), exact to
-    rounding.  Like calibrate_normalization it reads nothing of config, so
-    its bits depend only on g and nmax.  A vectorized callable g takes the
-    accelerated line engine, every projection g j_n a row of one stacked
-    integral, divided by diag(M) at order nmax, so the result depends only
-    on g, nmax and config.line_params.
+    order max(N, nmax): c = g.coeffs M[:N+1, :nmax+1] / diag(M), summed in
+    order n = 0..N, exact to rounding.  Like calibrate_normalization it
+    reads nothing of config, so its bits depend only on g and nmax.  A
+    vectorized callable g takes the accelerated line engine, every
+    projection g j_n a row of one stacked integral, divided by diag(M) at
+    order nmax, so the result depends only on g, nmax and config.line_params.
     """
     nmax = _check_order(nmax)
     if isinstance(g, BesselSeries):
-        gram = _line_moments(max(len(g) - 1, nmax))[1]
-        return BesselSeries(g.coeffs @ gram[:len(g), :nmax + 1] / np.diag(gram)[:nmax + 1])
+        gram = _line_moments(max(len(g) - 1, nmax))[1][:, :nmax + 1]
+        return BesselSeries(_series_values(g.coeffs, gram) / np.diag(gram))
     raw = _line_integrals(lambda y: _eval_integrand(g, y) * _jn_table(nmax, y), 0.0,
                           config.line_params, (f"c_{n}" for n in range(nmax + 1)))
     return BesselSeries(raw / np.diag(_line_moments(nmax)[1]))

@@ -72,6 +72,23 @@ class TestEval:
                                                   abs=1e-15)
         assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-15)
 
+    def test_negative_value_with_an_exponent(self, capsys, tmp_path):
+        # -1e-05 is how the CSV's repr prints a small negative t; argparse's
+        # own negative-number pattern has no exponent, so it read such a
+        # value as a flag and the option as missing its argument
+        path = write_series(tmp_path, "h.json", "bessel", [2.0])
+        for argv, var, value in ((["eval-pn", "--n", "2", "--t", "-1e-05"], 1, -1e-05),
+                                 (["eval-jn", "--n", "2", "--z-min", "-2.5e1",
+                                   "--z-steps", "2"], 1, -25.0),
+                                 (["eval-pn", "--n", "2", "--t", "-.5E-3"], 1, -5e-4),
+                                 (["inverse", "--in", path, "--t", "-5e-1"], 0, -0.5)):
+            code, out, _ = run(capsys, *argv, "--out", "-")
+            assert code == 0, argv
+            assert float(out.splitlines()[1].split(",")[var]) == value, argv
+        for argv in (["--t", "-x", "--out", "-"], ["--t", "--out", "-"]):
+            code, _, err = run(capsys, "eval-pn", "--n", "2", *argv)
+            assert code == 1 and "argument --t: expected one argument" in err, argv
+
 
 class TestTransformCommands:
     def test_calibrate(self, capsys):

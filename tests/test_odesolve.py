@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bandlim.odesolve
 from bandlim import (BesselSeries, ConvergenceError, DifferentialOperator,
                      DomainError, LegendreSeries, SingularSymbolError,
                      TransformConfig, apply_operator, coeff_bar,
@@ -88,6 +89,33 @@ class TestApplyOperator:
         op = DifferentialOperator([1.0, 0.0, -1.0])
         val = apply_operator(op, lambda t: 1.0 / (1.0 + t * t), 0.0, config)
         assert abs(val - 2.0) < 1e-12
+
+
+def _ref_symbol_section(op, n):
+    """Columns 0..n of F(iJ) on n + 1 + order rows, by Horner on the dense
+    Jacobi matrix J (t P_m = ((m+1) P_{m+1} + m P_{m-1})/(2m+1))."""
+    m = np.arange(1.0, n + 1 + op.order)
+    jacobi = np.diag(m / (2 * m - 1), -1) + np.diag(m / (2 * m + 1), 1)
+    eye = np.eye(len(m) + 1, n + 1)
+    out = 0 * eye
+    for a in op.coeffs[::-1]:
+        out = 1j * jacobi @ out + a * eye
+    return out
+
+
+class TestApplySymbol:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_matches_dense_product(self, n):
+        # the three-term recurrence gives the dense Horner product's section
+        # to rounding, for random operators of order 0 to 3
+        rng = np.random.default_rng(n)
+        for order in range(4):
+            coeffs = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+            op = DifferentialOperator(coeffs)
+            want = _ref_symbol_section(op, n)
+            got = bandlim.odesolve._apply_symbol(op, np.eye(n + 1))
+            assert got.shape == want.shape == (n + 1 + order, n + 1)
+            assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 class TestSolve:
