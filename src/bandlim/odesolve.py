@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularSymbolError
-from .specfun import MAX_ORDER, _check_order, _real
+from .specfun import MAX_ORDER, _check_order, _jn_table, _real
 from .transform import (BesselSeries, LegendreSeries, _as_coeffs, _coeffs_from_json,
-                        _coeffs_to_json, coeff_bar, coeff_unbar, forward_transform)
+                        _coeffs_to_json, _finite_z, _series_values, coeff_bar, coeff_unbar,
+                        forward_transform)
 
 _SYMBOL_FLOOR = 1e-8
 _SYMBOL_SAMPLES = 512
@@ -64,10 +65,18 @@ def symbol_eval(op, t):
 def apply_operator(op, f, z, config):
     """(L g)(z) = int_-1^1 f(t) F(it) e^{izt} dt (differentiation under the
     integral) for a LegendreSeries or vectorized callable f on [-1,1] and a
-    scalar or array z (the result has its shape).  f F, a series f's too, is
-    interpolated at the cached segment rule's 32 nodes (see forward_transform),
-    exact only if deg f + order <= 31; config is read for nothing."""
-    return forward_transform(lambda t: f(t) * op.symbol(t), z, config)
+    finite scalar or array z (the result has its shape).  For a series f it
+    is exact: F(iJ) maps f's coefficients to those of f F (_apply_symbol),
+    of degree deg f + order, which may pass MAX_ORDER, and their Bessel
+    series sum_n 2 i^n cbar_n j_n is summed at z.  A callable's f F is
+    interpolated at the cached segment rule's 32 nodes (see
+    forward_transform).  config is read for nothing."""
+    if not isinstance(f, LegendreSeries):
+        return forward_transform(lambda t: f(t) * op.symbol(t), z, config)
+    z = _finite_z(z)
+    cbar = _apply_symbol(op, f.coeffs[:, None])[:, 0]
+    return _series_values(cbar * 2.0 * 1j ** np.arange(cbar.size),
+                          _jn_table(cbar.size - 1, z))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ conditionally and plain truncation stalls.  The engine integrates a core
 window exactly, in chunks of four segments, splits each tail into
 half-period segments of length pi, and accelerates the segment partial
 sums.  Each core chunk and its mirror share one envelope call, as each
-convergence check's new segments of both tails do.  With
+convergence check's new segments of both tails do; the core's nodes are
+mapped, and its chunk sums added, once per integral.  With
 length-pi segments the two modes of a spherical-Bessel-type envelope,
 e^{iy(1-t)} and e^{-iy(1+t)}, share the per-segment ratio -e^{-i pi t} on
 the right tail (its conjugate on the left), which a known-ratio deflation
@@ -193,19 +194,32 @@ def _seg_rule():
 def _segment_integral(fn, a, b):
     """int_a^b fn by the segment rule, row by row, for scalar ends; fn maps
     the nodes to a stack of shape (k, m) (see _line_integrals).  The line
-    engine calls it only for the middle chunk of an odd core; ends that
-    come in pairs or stacks go to _segment_integrals."""
+    engine calls it only for the middle chunk of an odd core; the tails'
+    ends go to _segment_integrals, and the core's pairs of chunks to
+    _segment_nodes, once, and _segment_sums, once a pair."""
     return _segment_integrals(fn, np.asarray(a), np.asarray(b))
 
 
 def _segment_integrals(fn, a, b):
     """int fn by the segment rule on every segment [a, b] of the end arrays
     a, b, in one call of fn; the result has shape (k,) + a.shape."""
-    rule = _seg_rule()
+    half, x = _segment_nodes(a, b)
+    return half * _segment_sums(fn, x)
+
+
+def _segment_nodes(a, b):
+    """The half-lengths of the segments [a, b] of the end arrays a, b, and
+    the segment rule's nodes on each, of shapes a.shape and a.shape + (32,)."""
     half = 0.5 * (b - a)
-    x = half[..., None] * rule.nodes + 0.5 * (a + b)[..., None]
+    return half, half[..., None] * _seg_rule().nodes + 0.5 * (a + b)[..., None]
+
+
+def _segment_sums(fn, x):
+    """The segment rule's weighted sums of fn on the nodes x of _segment_nodes,
+    in one call of fn; shape (k,) + x.shape[:-1], to be scaled by the
+    half-lengths."""
     vals = fn(x.reshape(-1)).reshape((-1,) + x.shape)
-    return half * np.sum(rule.weights * vals, axis=-1)
+    return (_seg_rule().weights * vals).sum(axis=-1)
 
 
 def _expint_orders(mmax, z):
@@ -392,17 +406,18 @@ def _line_rows(envelope, t, params, labels=None):
     1-d array of k values t_i that share the one |t| on which the nodes
     depend.  The core is integrated in chunks of four segments: chunk i and
     its mirror nchunks - 1 - i in one envelope call, the middle chunk of an
-    odd count in one of its own, each chunk with its own nodes and weighted
-    sum, and the chunk values added in chunk order.  The right and left
-    tails of row i are rows i and k + i of one stack of partial sums; each
-    check integrates the new segments of both tails with one envelope call.
-    A row is frozen at the first check where its successive accelerated
-    values agree to params.tol relatively, so it gets exactly the value and
-    history of a one-row call on its envelope values and t_i, and the first
-    row still open fails as that call does: ConvergenceError naming its
-    t_i, and the name of each open row from labels, an iterable of row
-    names read only then, once max_segments is exhausted, with its last two
-    values.
+    odd count in one of its own.  Every chunk keeps its own nodes and
+    weighted sum, but the nodes of all pairs are mapped in one step, and the
+    chunk values are added in chunk order by one sequential accumulation,
+    once per integral.  The right and left tails of row i are rows i and
+    k + i of one stack of partial sums; each check integrates the new
+    segments of both tails with one envelope call.  A row is frozen at the
+    first check where its successive accelerated values agree to params.tol
+    relatively, so it gets exactly the value and history of a one-row call
+    on its envelope values and t_i, and the first row still open fails as
+    that call does: ConvergenceError naming its t_i, and the name of each
+    open row from labels, an iterable of row names read only then, once
+    max_segments is exhausted, with its last two values.
     """
     t = np.asarray(t, dtype=float)
     abs_t = float(np.max(np.abs(t)))
@@ -423,13 +438,19 @@ def _line_rows(envelope, t, params, labels=None):
     edges = np.linspace(-halfwidth, halfwidth, nchunks + 1)
     lo, hi = edges[:-1], edges[1:]
     mid = nchunks // 2
-    # chunk i and its mirror nchunks - 1 - i share one envelope call; the
-    # middle chunk of an odd count has one of its own
-    pairs = [_segment_integrals(fn, lo[[i, -1 - i]], hi[[i, -1 - i]]) for i in range(mid)]
-    middle = [_segment_integral(fn, lo[mid], hi[mid])] if nchunks % 2 else []
-    # summed in chunk order 0 .. nchunks - 1, left to right on the line
-    core = sum([p[:, 0] for p in pairs] + middle + [p[:, 1] for p in reversed(pairs)])
-    k = core.size
+    # chunk i and its mirror nchunks - 1 - i share one envelope call, on
+    # nodes mapped for every pair at once; the middle chunk of an odd count
+    # has a call of its own
+    half, nodes = _segment_nodes(np.stack([lo[:mid], lo[:-mid - 1:-1]], axis=-1),
+                                 np.stack([hi[:mid], hi[:-mid - 1:-1]], axis=-1))
+    pairs = half * np.stack([_segment_sums(fn, x) for x in nodes], axis=1)  # (k, mid, 2)
+    k = pairs.shape[0]
+    middle = [_segment_integral(fn, lo[mid], hi[mid])[:, None]] if nchunks % 2 else []
+    # added in chunk order 0 .. nchunks - 1, left to right on the line, onto
+    # a column of +0 as in a plain sum, in one sequential accumulation
+    chunks = np.concatenate([np.zeros((k, 1)), pairs[:, :, 0], *middle, pairs[:, ::-1, 1]],
+                            axis=1)
+    core = np.cumsum(chunks, axis=1)[:, -1]
 
     # with L = pi both Bessel-tail modes share one per-segment ratio per tail
     row_t = np.broadcast_to(t, (k,))

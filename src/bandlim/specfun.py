@@ -82,7 +82,10 @@ def _jn_series(nmax, z):
     """
     n = np.arange(nmax + 1).reshape((-1,) + (1,) * z.ndim)
     zpow = np.cumprod(np.where(n == 0, 1.0, z), axis=0)  # z^n
-    dfact = np.cumprod(2.0 * n + 1, axis=0)  # (2n+1)!!
+    # (2n+1)!!; past order 149 it overflows to inf, where z^n / (2n+1)!!
+    # underflows to 0 anyway
+    with np.errstate(over="ignore"):
+        dfact = np.cumprod(2.0 * n + 1, axis=0)
     mzsq = -(z * z)
     k = np.arange(1, 14).reshape((-1,) + (1,) * n.ndim)
     term = total = np.ones((nmax + 1,) + z.shape)  # the first step rebinds term
@@ -132,22 +135,28 @@ def _jn_miller(nmax, z):
 
 
 def _jn_table(nmax, z):
-    """j_0..j_nmax at every point of array z; shape (nmax+1,) + z.shape."""
+    """j_0..j_nmax at every point of array z; shape (nmax+1,) + z.shape.
+
+    Each regime's kernel works point by point, so points that all lie in
+    one regime (every node of a line integral's tail, for one) go to it as
+    they are, with the bits of the gathered path."""
     z = _real(z, "spherical_j: argument")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DomainError("spherical_j: argument must be finite")
     flat = z.reshape(-1)
     az = np.abs(flat)
-    out = np.empty((nmax + 1, flat.size), dtype=float)
+    up = az >= nmax + 2
     small = az < _SERIES_CUTOFF
-    up = (~small) & (az >= nmax + 2)
-    mid = (~small) & (~up)
-    if small.any():
-        out[:, small] = _jn_series(nmax, az[small])
-    if up.any():
-        out[:, up] = _jn_upward(nmax, az[up])
-    if mid.any():
-        out[:, mid] = _jn_miller(nmax, az[mid])
+    regimes = ((up, _jn_upward), (small, _jn_series), (~(up | small), _jn_miller))
+    for mask, kernel in regimes:
+        if mask.all():
+            out = kernel(nmax, az)
+            break
+    else:
+        out = np.empty((nmax + 1, flat.size), dtype=float)
+        for mask, kernel in regimes:
+            if mask.any():
+                out[:, mask] = kernel(nmax, az[mask])
     np.negative(out[1::2], out=out[1::2], where=flat < 0.0)  # j_n(-z) = (-1)^n j_n(z)
     return out.reshape((nmax + 1,) + z.shape)
 

@@ -90,6 +90,28 @@ class TestApplyOperator:
         val = apply_operator(op, lambda t: 1.0 / (1.0 + t * t), 0.0, config)
         assert abs(val - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("z", [0.0, 5.0, 40.0])
+    def test_series_applied_exactly(self, config, z):
+        # the op101 solve output has nonzero Legendre coefficients up to
+        # degree 128, so f F reaches degree 130, past MAX_ORDER and far past
+        # what 32 interpolation nodes resolve (1.6e-8 at z = 0 through them)
+        op, h = DifferentialOperator([1.0201, 0.0, 1.0]), BesselSeries([2.0])
+        f = solve(op, h, 128, config).f_series
+        assert len(f) == 129 and f.coeffs[128] != 0
+        assert abs(apply_operator(op, f, z, config) - h(z)) <= 1e-14
+
+    def test_series_past_order_149(self, config):
+        # deg f + order = 158: the j_n table runs past the order where
+        # (2n+1)!! overflows, with no warning and no loss against a Gauss sum
+        rng = np.random.default_rng(158)
+        f = LegendreSeries(rng.normal(size=129))
+        op = DifferentialOperator(rng.normal(size=31) / np.arange(1, 32))
+        t, w = REF_RULE.nodes, REF_RULE.weights
+        for z in [0.0, 0.1, 3.0, 200.0]:
+            want = np.sum(w * f(t) * op.symbol(t) * np.exp(1j * z * t))
+            scale = np.sum(w * np.abs(f(t) * op.symbol(t)))
+            assert abs(apply_operator(op, f, z, config) - want) <= 1e-13 * scale
+
 
 def _ref_symbol_section(op, n):
     """Columns 0..n of F(iJ) on n + 1 + order rows, by Horner on the dense

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandlim import (DomainError, InvalidOrderError, gauss_legendre_rule,
                      half_integer_bessel_via_poisson, legendre_all,
@@ -243,6 +245,34 @@ class TestJnTableOracle:
             got = specfun._jn_table(nmax, z)
             want = _ref_jn_table(nmax, z)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def one_regime_points(draw):
+    """(nmax, z): points of both signs that all lie in one of _jn_table's
+    regimes, |z| < 0.5, 0.5 <= |z| < nmax + 2 or |z| >= nmax + 2."""
+    nmax = draw(st.integers(0, specfun.MAX_ORDER))
+    lo, hi = draw(st.sampled_from([(0.0, specfun._SERIES_CUTOFF),
+                                   (specfun._SERIES_CUTOFF, nmax + 2.0),
+                                   (nmax + 2.0, 1e4)]))
+    size = draw(st.integers(1, 24))
+    magnitudes = draw(st.lists(st.floats(lo, hi, exclude_max=True), min_size=size,
+                               max_size=size))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=size, max_size=size))
+    return nmax, np.array(magnitudes) * np.array(signs)
+
+
+class TestJnTableOneRegime:
+    """Points in one regime go to its kernel as they are, and keep the bits
+    of the same points gathered from a table that spans all three regimes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_regime_points())
+    def test_bits_equal_gathered_columns(self, case):
+        nmax, z = case
+        mixed = np.concatenate([z, [0.1, 1.0, nmax + 3.0]])
+        got = specfun._jn_table(nmax, z)
+        assert got.tobytes() == specfun._jn_table(nmax, mixed)[:, :z.size].tobytes()
 
 
 class TestPoisson:

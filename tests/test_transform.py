@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import bandlim.quadrature
 import bandlim.transform
 from bandlim import (PAPER_QUARTER, BesselSeries, ConvergenceError,
-                     DifferentialOperator, DomainError, InvalidOrderError,
+                     DifferentialOperator, DomainError, EvaluationError, InvalidOrderError,
                      InvalidRuleError, LegendreSeries, LineIntegralParams,
                      RuleTooSmallError, TransformConfig, apply_operator,
                      bauer_partial_sum, bessel_projection,
@@ -165,6 +165,15 @@ class TestInverse:
         g = BesselSeries([2.0])
         for t in [-0.9, -0.25, 0.5, 0.95]:
             assert abs(inverse_transform(g, t, config) - 1.0) < 1e-6
+
+    def test_overflowing_series_refused_at_once(self, config):
+        # 1.7e308 (j_0 + j_1) overflows near y = 0, in the middle core
+        # chunk: the core raises, before any tail segment is integrated
+        g = BesselSeries([1.7e308, 1.7e308])
+        with np.errstate(over="ignore"):
+            with pytest.raises(EvaluationError,
+                               match=r"integrand not finite at node\(s\) \[0\.30352602 "):
+                inverse_transform(g, 0.3, config)
 
 
 class TestCalibration:
