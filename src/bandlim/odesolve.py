@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SingularSymbolError
 from .specfun import MAX_ORDER, _check_order, _jn_table, _real
 from .transform import (BesselSeries, LegendreSeries, _as_coeffs, _coeffs_from_json,
-                        _coeffs_to_json, _finite_z, _series_values, coeff_bar, coeff_unbar,
-                        forward_transform)
+                        _coeffs_to_json, _series_values, coeff_bar, coeff_unbar, forward_transform)
 
 _SYMBOL_FLOOR = 1e-8
 _SYMBOL_SAMPLES = 512
@@ -73,10 +72,9 @@ def apply_operator(op, f, z, config):
     forward_transform).  config is read for nothing."""
     if not isinstance(f, LegendreSeries):
         return forward_transform(lambda t: f(t) * op.symbol(t), z, config)
-    z = _finite_z(z)
     cbar = _apply_symbol(op, f.coeffs[:, None])[:, 0]
     return _series_values(cbar * 2.0 * 1j ** np.arange(cbar.size),
-                          _jn_table(cbar.size - 1, z))
+                          _jn_table(cbar.size - 1, z, "z"))
 
 
 @dataclass(frozen=True)

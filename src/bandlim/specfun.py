@@ -134,15 +134,16 @@ def _jn_miller(nmax, z):
     return out * scale
 
 
-def _jn_table(nmax, z):
+def _jn_table(nmax, z, what="spherical_j: argument"):
     """j_0..j_nmax at every point of array z; shape (nmax+1,) + z.shape.
+    A z that is not real and finite raises DomainError naming it `what`.
 
     Each regime's kernel works point by point, so points that all lie in
     one regime (every node of a line integral's tail, for one) go to it as
     they are, with the bits of the gathered path."""
-    z = _real(z, "spherical_j: argument")
+    z = _real(z, what)
     if not np.isfinite(z).all():
-        raise DomainError("spherical_j: argument must be finite")
+        raise DomainError(f"{what} must be finite")
     flat = z.reshape(-1)
     az = np.abs(flat)
     up = az >= nmax + 2

@@ -74,9 +74,7 @@ class BesselSeries(_Series):
     kind = "bessel"
 
     def __call__(self, z):
-        if not np.all(np.isfinite(z)):
-            raise DomainError("z must be finite")
-        return _series_values(self.coeffs, _jn_table(len(self) - 1, z))
+        return _series_values(self.coeffs, _jn_table(len(self) - 1, z, "z"))
 
 
 def _series_values(coeffs, table):
@@ -124,19 +122,13 @@ def forward_transform(f, z, config):
     nodes of the cached segment rule (quadrature._seg_rule); z is a finite
     scalar or array, refused before f is called, and the result has its
     shape.  config is read for nothing."""
-    z = _finite_z(z)
+    z = _real(z, "z")
+    if not np.all(np.isfinite(z)):
+        raise DomainError("z must be finite")
     if not isinstance(f, LegendreSeries):
         rule = _seg_rule()
         f = legendre_projection(f, len(rule) - 1, rule)
     return coeff_unbar(f)(z)
-
-
-def _finite_z(z):
-    """z as a float array; DomainError unless it is real and finite."""
-    z = _real(z, "z")
-    if not np.all(np.isfinite(z)):
-        raise DomainError("z must be finite")
-    return z
 
 
 def inverse_transform(g, t, config):
@@ -149,12 +141,6 @@ def inverse_transform(g, t, config):
         raise DomainError(
             f"inverse_transform: |t| = {np.max(np.abs(t))} not inside (-1, 1)")
     divisor = config.divisor()
-    if isinstance(g, BesselSeries):
-        # the engine's nodes are finite, so a series' envelope skips
-        # BesselSeries.__call__'s check of them; _eval_integrand checks its values
-        coeffs, order = g.coeffs, len(g) - 1
-        g = lambda y: _series_values(coeffs, _jn_table(order, y))
-    envelope = lambda y: _eval_integrand(g, y)[None]
     points = t.ravel().tolist()
     grid = set(points)
     outcomes = {}  # t -> its integral, or the error its stack gave it
@@ -163,7 +149,8 @@ def inverse_transform(g, t, config):
         if s not in outcomes:
             stack = [s, -s] if s and -s in grid else [s]  # 0.0 and -0.0: one row
             try:
-                for row, raw in _line_rows(envelope, stack, config.line_params):
+                for row, raw in _line_rows(lambda y: _eval_integrand(g, y)[None],
+                                           stack, config.line_params):
                     outcomes[stack[row]] = raw
             except ArithmeticError as exc:  # ConvergenceError, EvaluationError, g's own
                 outcomes.update({u: exc for u in stack if u not in outcomes})

@@ -100,6 +100,13 @@ class TestApplyOperator:
         assert len(f) == 129 and f.coeffs[128] != 0
         assert abs(apply_operator(op, f, z, config) - h(z)) <= 1e-14
 
+    def test_series_nonfinite_z_refused(self, config):
+        f = LegendreSeries([1.0, 2.0])
+        op = DifferentialOperator([1.0, 0.0, 1.0])
+        for z in (math.nan, np.array([0.0, math.inf])):
+            with pytest.raises(DomainError, match="z must be finite"):
+                apply_operator(op, f, z, config)
+
     def test_series_past_order_149(self, config):
         # deg f + order = 158: the j_n table runs past the order where
         # (2n+1)!! overflows, with no warning and no loss against a Gauss sum

@@ -10,7 +10,7 @@ import bandlim.specfun
 from bandlim import (ConvergenceError, DomainError, EvaluationError,
                      InvalidRuleError, LineIntegralParams, QuadratureRule,
                      TransformConfig, forward_transform, gauss_legendre_rule,
-                     integrate_compact, integrate_oscillatory_line, inverse_transform)
+                     integrate_compact, integrate_oscillatory_line)
 from bandlim.cli import main
 from bandlim.quadrature import (_CHECK_EVERY, _CORE_CHUNK_PERIODS, _EDGE_SCALE,
                                 _FIRST_CHECK, _MIN_EDGE_DIST, _MIN_HALFWIDTH,
@@ -589,37 +589,6 @@ class TestBatchedTails:
                             lambda nmax, y: sizes.append(y.size) or table(nmax, y))
         orthogonality_matrix_j(3)
         assert sizes[:checks[0]] == [64, 64, 64 * _FIRST_CHECK]
-
-
-def seeded_series(degree):
-    rng = np.random.default_rng(degree)
-    return BesselSeries(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
-
-
-def inverse_outcome(g, t):
-    """inverse_transform(g, t) as its value bytes, or its error's type,
-    text and last values."""
-    try:
-        return np.asarray(inverse_transform(g, t, TransformConfig())).tobytes()
-    except ArithmeticError as exc:
-        return type(exc), str(exc), getattr(exc, "last_values", None)
-
-
-class TestSeriesEnvelope:
-    """inverse_transform builds a series' envelope once per call, and it
-    gives the bits and errors of the same series as a bare callable."""
-
-    @pytest.mark.parametrize("degree", [0, 3, 8, 16])
-    @pytest.mark.parametrize("t", EDGE_T)
-    def test_point_equals_callable(self, degree, t):
-        g = seeded_series(degree)
-        assert inverse_outcome(g, t) == inverse_outcome(lambda y: g(y), t)
-
-    @pytest.mark.parametrize("degree", [0, 3, 8, 16])
-    def test_plus_minus_grid_equals_callable(self, degree):
-        g = seeded_series(degree)
-        t = np.array(EDGE_T).reshape(3, 3)  # 0 alone, then four stacks of t and -t
-        assert inverse_outcome(g, t) == inverse_outcome(lambda y: g(y), t)
 
 
 class TestHankelTails:

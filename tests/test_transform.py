@@ -794,6 +794,8 @@ REAL_ARGUMENT = [(name, call, True) for name, call in [
     ("legendre_all", lambda x: legendre_all(3, x)),
     ("symbol", _OP.symbol),
     ("apply_operator", lambda x: apply_operator(_OP, np.exp, x, None)),
+    ("apply_operator-series",
+     lambda x: apply_operator(_OP, LegendreSeries([1.0, 2.0]), x, None)),
     ("roundtrip", lambda x: roundtrip(BesselSeries([2.0]), x, TransformConfig())),
     ("g_at", lambda x: solve(_OP, BesselSeries([2.0]), 4, None).g_at(x)),
 ]] + [(name, call, False) for name, call in [
