@@ -18,15 +18,14 @@ The slow beat mode at frequency 1-|t| carries its information only at
 before any acceleration; no resummation recovers it from short-range
 samples.  The nodes depend on |t| alone, so t and -t can share a stack.
 
-Spherical-Bessel series, and products of two, need no acceleration at
-t = 0: each j_n has a finite Hankel expansion, so beyond a radius R it is
-a finite sum of y^{-m} e^{iwy}, whose tail integrals are closed forms in
-the exponential integral E_m.  This module gives that exact path's parts:
-the radius (_hankel_radius), the segment rule's nodes and weights on the
-core [-R, R] (_hankel_core), and the closed-form tails of the j_n and of
-their products (_hankel_tails).  transform._line_moments joins them into
-int j_n dy and int j_a j_b dy, once per order in a process, so that
-calibration and Bessel projection are products with those cached moments.
+Spherical-Bessel series need no acceleration at t = 0: each j_n has a
+finite Hankel expansion, so beyond a radius R it is a finite sum of
+y^{-m} e^{+-iy}, whose tail integrals are closed forms in the exponential
+integral E_m.  This module gives that exact path's parts: the radius
+(_hankel_radius), the segment rule's nodes and weights on the core [-R, R]
+(_hankel_core), and the closed-form tails of the j_n (_hankel_tails).
+transform._line_moments joins them into int j_n dy, once per order in a
+process, from which calibration reads C*.
 """
 
 import cmath
@@ -261,7 +260,7 @@ def _hankel_radius(order):
     """The core radius R of the exact path for rows whose highest j_n order
     is order: the least R >= max(24, order^2 / 8) that makes whole chunks
     of four length-pi segments, which keeps the Hankel expansion free of
-    cancellation and |omega R| above every m.  The order alone fixes it:
+    cancellation and R above every m.  The order alone fixes it:
     16 length-pi segments up to order 14, 1304 at order 128 (MAX_ORDER).
     """
     chunk = _CORE_CHUNK_PERIODS * _SEGMENT
@@ -274,41 +273,26 @@ def _hankel_core(radius):
     segments, flattened in chunk order."""
     nchunks = round(2.0 * radius / (_CORE_CHUNK_PERIODS * _SEGMENT))
     edges = np.linspace(-radius, radius, nchunks + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    rule = _seg_rule()
-    nodes = half * rule.nodes + 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return nodes.ravel(), (half * rule.weights).ravel()
+    half, nodes = _segment_nodes(edges[:-1], edges[1:])
+    return nodes.ravel(), (half[:, None] * _seg_rule().weights).ravel()
 
 
 def _hankel_tails(h, radius):
-    """Tail integrals over |y| > R of the rows s_n, and of their products,
-    of a scaled Hankel form (specfun._hankel_table)
+    """Tail integrals v[n] = int_{|y|>R} s_n dy of the rows s_n of a scaled
+    Hankel form (specfun._hankel_table)
 
-        s_n(y) = sum_m (h[n, m] e^{iy} + conj(h[n, m]) e^{-iy}) R^{m-1} y^{-m},
+        s_n(y) = sum_m (h[n, m] e^{iy} + conj(h[n, m]) e^{-iy}) R^{m-1} y^{-m};
 
-    as (v, M) with v[n] = int s_n dy and M[a, b] = int s_a s_b dy; R must
-    exceed the highest m, h.shape[1] - 1, and 2 R the highest m of a product.
+    R must exceed the highest m, h.shape[1] - 1.
 
-    With tau_w(m) = R^{m-1} int_{|y|>R} y^{-m} e^{iwy} dy, which is
-    E_m(-iwR) + (-1)^m E_m(iwR) (DLMF 8.19) for w > 0, 2 / (m-1) for even m
-    and 0 for odd m at w = 0, and conj(tau_w) at -w, the series tails are
-    v = h tau_1 + conj(h) tau_-1 = 2 Re(h tau_1).  A product s_a s_b has the
-    frequencies w1 + w2 of its factors' w1, w2 = +-1 and the powers m1 + m2,
-    so M = sum_{w1,w2} H_w1 T_{w1+w2} H_w2^T / R, with H_1 = h, H_-1 =
-    conj(h) and the Hankel matrices T_w[m1, m2] = tau_w(m1 + m2); that is
-    2 Re(h T_2 h^T + h T_0 h^H) / R, in O(N^2) memory.
+    With tau(m) = R^{m-1} int_{|y|>R} y^{-m} e^{iy} dy = E_m(-iR) +
+    (-1)^m E_m(iR) (DLMF 8.19), and conj(tau) for e^{-iy}, the tails are
+    v = h tau + conj(h) conj(tau) = 2 Re(h tau).
     """
     size = h.shape[1]
-    m = np.arange(2 * size - 1)
-    sign = np.where(m % 2, -1.0, 1.0)
+    sign = np.where(np.arange(size) % 2, -1.0, 1.0)
     e1 = _expint_orders(size - 1, -1j * radius)
-    e2 = _expint_orders(m.size - 1, -2j * radius)
-    tau0 = np.zeros(m.size)
-    tau0[2::2] = 2.0 / (m[2::2] - 1)
-    pairs = np.add.outer(m[:size], m[:size])  # m1 + m2
-    v = 2.0 * (h @ (e1 + sign[:size] * e1.conj())).real
-    tails = h @ (e2 + sign * e2.conj())[pairs] @ h.T + h @ tau0[pairs] @ h.conj().T
-    return v, 2.0 * tails.real / radius
+    return 2.0 * (h @ (e1 + sign * e1.conj())).real
 
 
 @functools.cache

@@ -158,7 +158,8 @@ def _jn_table(nmax, z, what="spherical_j: argument"):
         for mask, kernel in regimes:
             if mask.any():
                 out[:, mask] = kernel(nmax, az[mask])
-    np.negative(out[1::2], out=out[1::2], where=flat < 0.0)  # j_n(-z) = (-1)^n j_n(z)
+    if nmax:  # j_n(-z) = (-1)^n j_n(z); at order 0 there is no odd row
+        np.negative(out[1::2], out=out[1::2], where=flat < 0.0)
     return out.reshape((nmax + 1,) + z.shape)
 
 

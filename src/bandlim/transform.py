@@ -167,7 +167,7 @@ def inverse_transform(g, t, config):
 def _measured_divisor(mode):
     """C* = 2^(mode+1) v[mode] / C(mode, mode/2) of an even mode, from the
     cached line moments v (_line_moments)."""
-    return math.ldexp(_line_moments(mode)[0][mode], mode + 1) / math.comb(mode, mode // 2)
+    return math.ldexp(_line_moments(mode)[mode], mode + 1) / math.comb(mode, mode // 2)
 
 
 def calibrate_normalization(config, mode=0):
@@ -208,48 +208,37 @@ def legendre_projection(f, nmax, rule=None):
 
 @functools.cache
 def _line_moments(order):
-    """(v, M), read-only: v[n] = int j_n dy and M[a, b] = int j_a j_b dy over
-    the whole line, for n, a, b <= order (exactly pi |P_n(0)| and
-    pi / (2a+1) delta_ab).
+    """v, read-only: v[n] = int j_n dy over the whole line for n <= order
+    (exactly pi |P_n(0)|).
 
     The core [-R, R], R = _hankel_radius(order), is one _jn_table J on the
-    segment rule's nodes with weights w: J w and (J w) J^T, summed by einsum,
-    not BLAS, so no bit depends on the thread count.  The tails beyond R are
-    closed forms of the Hankel expansion (_hankel_tails), with no tol and no
-    accelerator.  Cached per order: each order's table is built once in a
-    process, and a result read from it depends only on the order, not on
-    what was computed before; all 129 orders hold about 6 MB.
+    segment rule's nodes with weights w: J w, summed by einsum, not BLAS, so
+    no bit depends on the thread count.  The tails beyond R are closed forms
+    of the Hankel expansion (_hankel_tails), with no tol and no accelerator.
+    Cached per order, so a result read from it depends only on the order.
     """
     radius = _hankel_radius(order)
     nodes, weights = _hankel_core(radius)
-    table = _jn_table(order, nodes)
-    tail_v, tail_m = _hankel_tails(_hankel_table(order, radius), radius)
-    v = np.einsum("ik,k->i", table, weights, optimize=False) + tail_v
-    gram = np.einsum("ik,jk->ij", table * weights, table, optimize=False) + tail_m
-    v.flags.writeable = gram.flags.writeable = False
-    return v, gram
+    tail = _hankel_tails(_hankel_table(order, radius), radius)
+    v = np.einsum("ik,k->i", _jn_table(order, nodes), weights, optimize=False) + tail
+    v.flags.writeable = False
+    return v
 
 
 def bessel_projection(g, nmax, config):
     """Bessel coefficients c_n = int g(y) j_n(y) dy / K_n, n = 0..nmax, with
-    the norms K_n = int j_n^2 dy = pi / (2n+1) the diagonal of the Gram
-    matrix M of the cached line moments (_line_moments).
-
-    For a BesselSeries g of degree N every integral is an entry of M at
-    order max(N, nmax): c = g.coeffs M[:N+1, :nmax+1] / diag(M), summed in
-    order n = 0..N, exact to rounding.  Like calibrate_normalization it
-    reads nothing of config, so its bits depend only on g and nmax.  A
-    vectorized callable g takes the accelerated line engine, every
-    projection g j_n a row of one stacked integral, divided by diag(M) at
-    order nmax, so the result depends only on g, nmax and config.line_params.
+    the norms K_n = int j_n^2 dy = pi / (2n+1) of the orthogonal j_n: a
+    BesselSeries g's own coefficients, truncated or zero-padded, reading no
+    config.  A vectorized callable g takes the accelerated line engine, every
+    projection g j_n a row of one stacked integral, so the result depends
+    only on g, nmax and config.line_params.
     """
     nmax = _check_order(nmax)
     if isinstance(g, BesselSeries):
-        gram = _line_moments(max(len(g) - 1, nmax))[1][:, :nmax + 1]
-        return BesselSeries(_series_values(g.coeffs, gram) / np.diag(gram))
+        return BesselSeries(np.pad(g.coeffs[:nmax + 1], (0, max(0, nmax + 1 - len(g)))))
     raw = _line_integrals(lambda y: _eval_integrand(g, y) * _jn_table(nmax, y), 0.0,
                           config.line_params, (f"c_{n}" for n in range(nmax + 1)))
-    return BesselSeries(raw / np.diag(_line_moments(nmax)[1]))
+    return BesselSeries(raw / (math.pi / (2 * np.arange(nmax + 1) + 1)))
 
 
 def bauer_partial_sum(z, t, order):

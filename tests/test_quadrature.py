@@ -598,9 +598,9 @@ class TestHankelTails:
     @pytest.mark.parametrize("order", [0, 3, 10, 40, 70])
     @pytest.mark.parametrize("omega", [1, 2])
     def test_expint_against_mpmath(self, order, omega):
-        # the orders and arguments the exact path uses: a series of j_n,
-        # n <= order, needs E_1..E_{order+1} at +-iR; a product of two needs
-        # E_1..E_{2 order+2} at +-2iR
+        # the orders and arguments the exact path uses (omega = 1): a series
+        # of j_n, n <= order, needs E_1..E_{order+1} at +-iR; omega = 2
+        # doubles both, E_1..E_{2 order+2} at +-2iR
         nchunks = math.ceil(max(24.0, order * order / 8.0) / (2 * math.pi))
         self.check_expint(omega * (order + 1), omega * 2 * math.pi * nchunks)
 
@@ -625,15 +625,9 @@ class TestHankelTails:
         assert bandlim.quadrature._expint_orders(10, -10.5j).size == 11
 
     def test_tail_functional_at_zero_frequency(self):
-        # s = cos y / y (h[0, 1] = 1/2): int_{|y|>R} s = 0 by parity, and
-        # int_{|y|>R} s^2 = 1/R (the w = 0 part, tau_0(2) = 2) plus the
-        # w = +-2 part cos(2R)/R - pi + 2 Si(2R)
-        mpmath = pytest.importorskip("mpmath")
-        radius = 30.0
-        v, m = bandlim.quadrature._hankel_tails(np.array([[0, 0.5]]), radius)
-        want = 1 / radius + math.cos(2 * radius) / radius - math.pi \
-            + 2 * float(mpmath.si(2 * radius))
-        assert abs(v[0]) < 1e-16 and m[0, 0] == pytest.approx(want, rel=1e-14)
+        # s = cos y / y (h[0, 1] = 1/2): int_{|y|>R} s = 0 by parity
+        v = bandlim.quadrature._hankel_tails(np.array([[0, 0.5]]), 30.0)
+        assert abs(v[0]) < 1e-16
 
     @pytest.mark.parametrize("order", [0, 5, 40])
     def test_sinc_integral(self, order):
@@ -642,23 +636,22 @@ class TestHankelTails:
         h = bandlim.quadrature
         radius = h._hankel_radius(order)
         nodes, weights = h._hankel_core(radius)
-        tail, _ = h._hankel_tails(bandlim.specfun._hankel_table(0, radius), radius)
+        tail = h._hankel_tails(bandlim.specfun._hankel_table(0, radius), radius)
         assert abs(np.sinc(nodes / np.pi) @ weights + tail[0] - math.pi) < 4e-15
 
     @pytest.mark.parametrize("order", [0, 3, 9, 20])
     def test_tails_match_jn_table_between_radii(self, order):
-        # the series and bilinear product tails at R less those at R2 are the
-        # integrals of the j_n table and its products over R < |y| < R2
+        # the series tails at R less those at R2 are the integrals of the j_n
+        # table over R < |y| < R2
         h = bandlim.quadrature
         radius = h._hankel_radius(order)
         far = radius + 8 * math.pi  # two more chunks on each side
         nodes, weights = h._hankel_core(far)
         outer = np.abs(nodes) > radius
         table = _jn_table(order, nodes[outer])
-        near_v, near_m = h._hankel_tails(bandlim.specfun._hankel_table(order, radius), radius)
-        far_v, far_m = h._hankel_tails(bandlim.specfun._hankel_table(order, far), far)
+        near_v = h._hankel_tails(bandlim.specfun._hankel_table(order, radius), radius)
+        far_v = h._hankel_tails(bandlim.specfun._hankel_table(order, far), far)
         assert np.max(np.abs(near_v - far_v - table @ weights[outer])) < 2e-15
-        assert np.max(np.abs(near_m - far_m - (table * weights[outer]) @ table.T)) < 2e-16
 
     def test_core_rule(self):
         # 16 segments of length pi on [-8 pi, 8 pi], the rule on each chunk

@@ -28,7 +28,7 @@ def sha(*arrays):
     return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
 
 for order in (8, 16, 64, 128):
-    print(f"_line_moments({order})", sha(*_line_moments(order)), sep="\t")
+    print(f"_line_moments({order})", sha(_line_moments(order)), sep="\t")
 rng = np.random.default_rng(128)
 g = BesselSeries(rng.normal(size=129) + 1j * rng.normal(size=129))
 print("bessel_projection to nmax 128", sha(bessel_projection(g, 128, None).coeffs), sep="\t")

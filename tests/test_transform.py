@@ -452,13 +452,13 @@ class TestStackedIntegrals:
 
     def test_projection_rows_equal_one_row_calls(self):
         # a bare callable takes the stacked engine for its rows g j_n, and
-        # divides them by the norms K_n of the cached moments
+        # divides them by the exact norms K_n = pi / (2n+1)
         cfg = TransformConfig()
         g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j, 0.2])
         got = bessel_projection(lambda y: g(y), 4, cfg).coeffs
         raw = [integrate_oscillatory_line(lambda y: g(y) * _jn_table(4, y)[n], 0.0)
                for n in range(5)]
-        norms = np.diag(bandlim.transform._line_moments(4)[1])
+        norms = math.pi / (2 * np.arange(5) + 1)
         assert same_bits(got, np.array(raw) / norms)
 
     def test_one_engine_call_each(self, monkeypatch):
@@ -483,7 +483,7 @@ class TestStackedIntegrals:
         g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j, 0.2])
         got = bessel_projection(lambda y: g(y), 6, TransformConfig()).coeffs
         assert len(rows) == 1 and rows[0].shape == (7,)
-        norms = np.diag(bandlim.transform._line_moments(6)[1])
+        norms = math.pi / (2 * np.arange(7) + 1)
         assert same_bits(got, rows[0] / norms)
 
     def test_callable_projection_names_only_its_rows(self):
@@ -494,9 +494,9 @@ class TestStackedIntegrals:
 
     @pytest.mark.parametrize("earlier", [5, 6, 7])
     def test_projection_independent_of_call_history(self, earlier):
-        # the norms K_n come from the cached moments, a function of the
-        # order alone: an earlier projection of higher degree on the same
-        # config leaves a result unchanged
+        # a series projection is its own coefficients: an earlier
+        # projection of higher degree on the same config leaves a result
+        # unchanged
         g = BesselSeries([0.5, -0.3j, 0.9])
         fresh = bessel_projection(g, 4, TransformConfig()).coeffs
         cfg = TransformConfig()
@@ -697,14 +697,13 @@ class TestExactSeriesPath:
     def test_projection_recovers_coefficients(self, coeffs, extra):
         nmax = len(coeffs) - 1 + extra
         got = bessel_projection(BesselSeries(coeffs), nmax, TransformConfig()).coeffs
-        want = np.concatenate([coeffs, np.zeros(extra)])
-        assert np.max(np.abs(got - want)) < 1e-13
+        assert same_bits(got, np.array(coeffs + [0] * extra, dtype=complex))
 
     def test_projection_below_degree(self):
         # projecting to fewer orders than g has keeps the leading coefficients
         g = BesselSeries([0.3, -1j, 0.5, 0.2 + 0.1j, 0.7])
         got = bessel_projection(g, 2, TransformConfig()).coeffs
-        assert np.max(np.abs(got - g.coeffs[:3])) < 1e-13
+        assert same_bits(got, g.coeffs[:3])
 
     def test_projection_does_not_read_tol(self):
         g = BesselSeries([0.5 + 0.1j, -0.3, 0.9j, 0.2])
@@ -728,21 +727,17 @@ class TestExactSeriesPath:
         for config in (cfg, TransformConfig()):
             assert same_bits(bessel_projection(g, 4, config).coeffs, cold[0])
             assert calibrate_normalization(config, 4) == cold[1]
-        v, gram = bandlim.transform._line_moments(4)
+        v = bandlim.transform._line_moments(4)
         with pytest.raises(ValueError):
             v[0] = 1.0
-        with pytest.raises(ValueError):
-            gram[0, 0] = 1.0
 
     @pytest.mark.parametrize("order", [16, 32, 64, 128])
     def test_line_moments_against_exact(self, order):
-        # int j_n dy = pi |P_n(0)| = pi C(n, n/2) / 2^n for even n, 0 for odd
-        # n, and int j_a j_b dy = pi / (2a+1) delta_ab
-        v, gram = bandlim.transform._line_moments(order)
-        n = np.arange(order + 1)
-        want = [math.pi * math.comb(k, k // 2) / 2.0 ** k if k % 2 == 0 else 0.0 for k in n]
+        # int j_n dy = pi |P_n(0)| = pi C(n, n/2) / 2^n for even n, 0 for odd n
+        v = bandlim.transform._line_moments(order)
+        want = [math.pi * math.comb(k, k // 2) / 2.0 ** k if k % 2 == 0 else 0.0
+                for k in range(order + 1)]
         assert np.max(np.abs(v - want)) < 1e-13
-        assert np.max(np.abs(gram - np.diag(math.pi / (2 * n + 1)))) < 1e-13
 
     def test_calibration_is_two_pi_to_max_order(self):
         cfg = TransformConfig()
@@ -752,19 +747,18 @@ class TestExactSeriesPath:
 
     @pytest.mark.parametrize("degree", [32, 64, 128])
     def test_projection_recovers_high_degree(self, degree):
-        # degree 128 has a core of 1304 segments, at the default config
+        # the coefficients themselves, up to the supported maximum degree
         rng = np.random.default_rng(degree)
         c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
         got = bessel_projection(BesselSeries(c), degree, TransformConfig()).coeffs
-        assert np.max(np.abs(got - c)) < 1e-12
+        assert same_bits(got, c)
 
     def test_projection_to_high_nmax(self):
-        # 2 j_0 projected up to the supported maximum: nmax 70 has a core of
-        # 392 segments (R = 98 * 2 pi >= 70^2 / 8), 71 of 404 and 128 of 1304
+        # 2 j_0 projected up to the supported maximum: zeros past c_0
         g = BesselSeries([2.0])
         for nmax in (70, 71, 128):
             got = bessel_projection(g, nmax, TransformConfig()).coeffs
-            assert np.max(np.abs(got - np.eye(nmax + 1)[0] * 2.0)) < 1e-13
+            assert same_bits(got, 2.0 * np.eye(nmax + 1, dtype=complex)[0])
 
     @pytest.mark.parametrize("degree", [0, 8, 70, 71, 128])
     def test_projection_reads_no_config(self, degree):
@@ -776,7 +770,7 @@ class TestExactSeriesPath:
         tight = TransformConfig(line_params=LineIntegralParams(tol=1e-16, max_segments=12))
         for config in (tight, None):
             assert same_bits(bessel_projection(BesselSeries(c), degree, config).coeffs, want)
-        assert np.max(np.abs(want - c)) < 1e-12
+        assert same_bits(want, c)
 
 
 _OP = DifferentialOperator([1.0, 0.0, -1.0])
