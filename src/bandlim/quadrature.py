@@ -31,6 +31,7 @@ process, from which calibration reads C*.
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +177,9 @@ class LineIntegralParams:
     max_segments: int = 400
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvalidRuleError(f"tol must be positive and finite, got {self.tol!r}")
+        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
+        if not (real and math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidRuleError(f"tol must be a positive finite real, got {self.tol!r}")
         if not _is_int(self.max_segments):
             raise InvalidRuleError(
                 f"max_segments must be an integer, got {self.max_segments!r}")
@@ -332,7 +334,7 @@ def _levin_limit(seq, k0):
     return np.where(ok, val, seq[..., -1])
 
 
-def _accelerate(partials, ratio, k0):
+def _accelerate(partials, ratio, k0, known=None):
     """Best limit estimates for rows of tail partial sums, shape (k, L).
 
     Alternates known-ratio deflation (removes the oscillatory mode with the
@@ -341,28 +343,35 @@ def _accelerate(partials, ratio, k0):
     column.  The candidates are, in order: the last partial sum, then for
     each column its last partial sum and its Levin estimates on the
     prefixes _LEVIN_PREFIXES; each row keeps the first candidate with the
-    smallest internal spread.  Every Levin estimate of one length, over all
-    columns and rows, is one _levin_limit call.  Returns (estimates,
-    spreads) of shape (k,); a spread is a rough uncertainty.
+    smallest internal spread.  Every Levin estimate of one length, over the
+    columns that lack it and all rows, is one _levin_limit call.  Returns
+    (estimates, spreads) of shape (k,); a spread is a rough uncertainty.
+
+    known maps (column c, prefix p) to the (values, spreads) of a Levin
+    candidate on these rows, which reads only the first p + c partial sums;
+    only the candidates it lacks are scored, and then added to it.
     """
+    known = {} if known is None else known
     s = np.asarray(partials, dtype=complex)
     k = s.shape[0]
-    values = [s[:, -1]]
-    spreads = [np.abs(s[:, -1] - s[:, -2]) if s.shape[1] > 1 else np.full(k, math.inf)]
+    candidates = [(s[:, -1],  # (values, spreads) pairs, in candidate order
+                   np.abs(s[:, -1] - s[:, -2]) if s.shape[1] > 1 else np.full(k, math.inf))]
     columns = []
+    gap = 1.0 - ratio
+    all_one = np.all(np.abs(gap) < 1e-8)  # every ratio 1: no deflation
     for _ in range(_MAX_DEFLATIONS + 1):
         if s.shape[1] < 3:
             break
         columns.append(s)
-        if np.all(np.abs(1.0 - ratio) < 1e-8):
+        if all_one:
             break
-        s = (s[:, 1:] - ratio * s[:, :-1]) / (1.0 - ratio)
+        s = (s[:, 1:] - ratio * s[:, :-1]) / gap
 
     prefixes = [sorted({min(p, col.shape[1]) for p in _LEVIN_PREFIXES})
                 for col in columns]
     users = {}  # sequence length -> the columns that need its Levin estimate
     for c, ps in enumerate(prefixes):
-        for n in {m for p in ps for m in (p, p - 1)}:
+        for n in {m for p in ps if (c, p) not in known for m in (p, p - 1)}:
             users.setdefault(n, []).append(c)
     levin = {}
     for n, cs in users.items():
@@ -370,16 +379,16 @@ def _accelerate(partials, ratio, k0):
         levin.update(zip([(c, n) for c in cs], est.reshape(len(cs), k)))
 
     for c, col in enumerate(columns):
-        values.append(col[:, -1])
-        spreads.append(np.abs(col[:, -1] - col[:, -2]))
+        candidates.append((col[:, -1], np.abs(col[:, -1] - col[:, -2])))
         for p in prefixes[c]:
-            values.append(levin[c, p])
-            spreads.append(np.abs(levin[c, p] - levin[c, p - 1]))
-    spreads = np.array(spreads)
+            if (c, p) not in known:
+                known[c, p] = levin[c, p], np.abs(levin[c, p] - levin[c, p - 1])
+            candidates.append(known[c, p])
+    values, spreads = map(np.array, zip(*candidates))
     spreads[np.isnan(spreads)] = math.inf
     best = np.argmin(spreads, axis=0)  # the first minimum: earlier candidates win ties
     rows = np.arange(k)
-    return np.array(values)[best, rows], spreads[best, rows]
+    return values[best, rows], spreads[best, rows]
 
 
 def _line_rows(envelope, t, params, labels=None):
@@ -401,7 +410,9 @@ def _line_rows(envelope, t, params, labels=None):
     on its envelope values and t_i, and the first row still open fails as
     that call does: ConvergenceError naming its t_i, and the name of each
     open row from labels, an iterable of row names read only then, once
-    max_segments is exhausted, with its last two values.
+    max_segments is exhausted, with its last two values.  A row's Levin
+    candidates are scored once per integral: a check scores only its new
+    ones, and takes its deflation columns' last partial sums.
     """
     t = np.asarray(t, dtype=float)
     abs_t = float(np.max(np.abs(t)))
@@ -444,6 +455,7 @@ def _line_rows(envelope, t, params, labels=None):
     terms = []  # per segment: every row's right tail term, then its left
     nseg = 0
     pending = np.arange(k)  # rows not yet converged
+    known = {}  # the pending tail rows' Levin candidates, for _accelerate
     history = []  # the pending rows' values at the last one or two checks
     batch = _FIRST_CHECK
     while nseg < params.max_segments:
@@ -457,7 +469,7 @@ def _line_rows(envelope, t, params, labels=None):
         n = pending.size
         # fancy indexing copies: the accelerator gets C-contiguous rows
         rows = np.concatenate([pending, pending + k])
-        tails, spread = _accelerate(np.cumsum(terms, axis=0).T[rows], ratio[rows], k0)
+        tails, spread = _accelerate(np.cumsum(terms, axis=0).T[rows], ratio[rows], k0, known)
         est = core[pending] + tails[:n] + tails[n:]
         if history:
             scale = params.tol * np.maximum(1.0, np.abs(est))
@@ -468,6 +480,9 @@ def _line_rows(envelope, t, params, labels=None):
             if not pending.size:
                 return
             history = [history[-1][~done]]
+            if done.any():
+                keep = np.concatenate([~done, ~done])
+                known = {key: (v[keep], u[keep]) for key, (v, u) in known.items()}
         history.append(est)
     names = None if labels is None else list(labels)
     named = "" if names is None else " for " + ", ".join(names[i] for i in pending)

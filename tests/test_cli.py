@@ -662,7 +662,7 @@ def test_digest_corpus_is_valid():
     # every entry of the digest corpus is an argv the parser accepts, and
     # reads only documents committed next to it
     entries = corpus_entries()
-    assert len(entries) == 30
+    assert len(entries) == 31
     for argv in entries:
         args = build_parser().parse_args(argv)
         assert args.out == "-"

@@ -170,6 +170,8 @@ class TestLineIntegralParams:
         assert p.tol > 0
         assert p.max_segments >= 12
         assert LineIntegralParams(max_segments=12).max_segments == 12
+        for tol in (1, 1e-9, np.float32(1e-6), np.float64(1e-9)):
+            assert LineIntegralParams(tol=tol).tol == tol
 
     def test_invalid(self):
         with pytest.raises(InvalidRuleError):
@@ -178,7 +180,10 @@ class TestLineIntegralParams:
             LineIntegralParams(max_segments=5)
         with pytest.raises(InvalidRuleError):
             LineIntegralParams(max_segments=11)
-        for bad in (dict(tol=math.inf), dict(tol=math.nan),
+        # tol must be a real number: a string, a complex, None or a bool is
+        # refused as max_segments refuses them
+        for bad in (dict(tol=math.inf), dict(tol=math.nan), dict(tol="1e-9"),
+                    dict(tol=1e-9 + 0j), dict(tol=None), dict(tol=True),
                     dict(max_segments=12.5), dict(max_segments=400.0)):
             with pytest.raises(InvalidRuleError):
                 LineIntegralParams(**bad)
@@ -360,6 +365,33 @@ class TestAcceleratorOracle:
         est, spread = _accelerate(np.array([[1.0 + 2j]]), -1.0, 3.0)
         assert est[0] == 1.0 + 2j and spread[0] == math.inf
 
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.95, 1.0])
+    def test_known_candidates_match_fresh_calls(self, t):
+        # the checks of one line integral share a dict of Levin candidates:
+        # on growing prefixes of the same tail rows, and after a row pair is
+        # dropped as the line engine drops a frozen row, every estimate and
+        # spread equals that of a call that scores every candidate afresh
+        rng = np.random.default_rng(200)
+        k0 = float(rng.uniform(2.0, 40.0))
+        pair = (-np.exp(-1j * math.pi * t), -np.exp(1j * math.pi * t))
+        blocks = [_tail_rows(rng, ratio, k0, 42) for ratio in pair]
+        partials = np.concatenate(blocks)
+        ratios = np.repeat(pair, len(blocks[0]))[:, None]
+        pending = np.arange(len(blocks[0]))
+        known = {}
+        for length in range(_FIRST_CHECK, 43, _CHECK_EVERY):
+            rows = np.concatenate([pending, pending + len(blocks[0])])
+            with np.errstate(all="ignore"):
+                got = _accelerate(partials[rows, :length], ratios[rows], k0, known)
+                want = _accelerate(partials[rows, :length], ratios[rows], k0)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+            if length == 24:
+                done = pending == 2
+                keep = np.concatenate([~done, ~done])
+                known = {key: (v[keep], u[keep]) for key, (v, u) in known.items()}
+                pending = pending[~done]
+        assert known
+
 
 def _gaussian(y):
     return np.exp(-np.asarray(y, dtype=float) ** 2)
@@ -496,10 +528,13 @@ class TestBatchedTails:
 
     @pytest.mark.parametrize("max_segments", [12, 13, 18, 400])
     def test_stacks_match_reference(self, max_segments):
+        # gram_stack(8) is the benchmark's Gram matrix: its rows freeze over
+        # six checks, the last at 42 tail segments
         params = LineIntegralParams(max_segments=max_segments)
-        gram_labels = [f"G[{n}, {m}]" for n, m in zip(*np.triu_indices(7))]
+        gram_labels = {nmax: [f"G[{n}, {m}]" for n, m in zip(*np.triu_indices(nmax + 1))]
+                       for nmax in (6, 8)}
         proj_labels = [f"{row}_{n}" for row in "cK" for n in range(6)]
-        for env, labels in ((gram_stack(6), gram_labels),
+        for env, labels in ((gram_stack(6), gram_labels[6]), (gram_stack(8), gram_labels[8]),
                             (projection_stack(G3, 5), proj_labels)):
             want = outcome(_ref_line_integrals, env, 0.0, params, labels)
             assert outcome(_line_integrals, env, 0.0, params, labels) == want
@@ -579,6 +614,25 @@ class TestBatchedTails:
         checks = self.count_checks(monkeypatch, sizes)
         _line_integrals(self.j0_sized(sizes), 1 - 1e-3, LineIntegralParams())
         assert sizes[:checks[0]] == [64] * 1592 + [64 * _FIRST_CHECK]
+
+    def test_gram_scores_each_levin_candidate_once(self, monkeypatch):
+        # orthogonality_matrix_j(8) converges in six checks, at 12, 18, ..,
+        # 42 tail segments.  At 30 segments deflation columns 11 and 12 hold
+        # 19 and 18 terms, short of the longest Levin prefix, 20: the check
+        # at 36 scores their prefix 20 (one call at each of the lengths 19
+        # and 20), and the check at 42, which knows every candidate, none
+        levin_calls = []  # per check
+        accelerate = bandlim.quadrature._accelerate
+        levin = bandlim.quadrature._levin_limit
+
+        def counted(*args):
+            levin_calls[-1] += 1
+            return levin(*args)
+        monkeypatch.setattr(bandlim.quadrature, "_accelerate",
+                            lambda *args: levin_calls.append(0) or accelerate(*args))
+        monkeypatch.setattr(bandlim.quadrature, "_levin_limit", counted)
+        orthogonality_matrix_j(8)
+        assert len(levin_calls) == 6 and levin_calls[-2:] == [2, 0]
 
     def test_gram_core_in_one_pair(self, monkeypatch):
         # the Gram matrix integrates at t = 0: core half-width 7 pi, 4 chunks
