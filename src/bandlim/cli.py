@@ -276,7 +276,7 @@ def build_parser():
                    help="relative spread ceiling for K_n (2n+1)")
     p.set_defaults(fn=_cmd_ortho_check)
 
-    p = sub.add_parser("calibrate", help="measure the inverse divisor C*")
+    p = sub.add_parser("calibrate", help="the inverse divisor C* = 2 pi")
     p.set_defaults(fn=_cmd_calibrate)
 
     p = sub.add_parser("roundtrip", help="inverse-then-forward on a z grid")
@@ -298,7 +298,7 @@ def build_parser():
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         if name in ("inverse", "roundtrip"):
             p.add_argument("--normalization", choices=[CALIBRATED, PAPER_QUARTER],
-                           default=CALIBRATED, help="inverse divisor: measured C* or printed 4")
+                           default=CALIBRATED, help="inverse divisor: C* = 2 pi or printed 4")
         if name in ("inverse", "roundtrip", "ortho-check"):
             p.add_argument("--max-segments", type=int, default=LineIntegralParams.max_segments,
                            help="tail-segment cap of the accelerated line engine")

@@ -17,18 +17,8 @@ The slow beat mode at frequency 1-|t| carries its information only at
 |y| of order 1/(1-|t|), so the core half-width scales like 1/(1-|t|)
 before any acceleration; no resummation recovers it from short-range
 samples.  The nodes depend on |t| alone, so t and -t can share a stack.
-
-Spherical-Bessel series need no acceleration at t = 0: each j_n has a
-finite Hankel expansion, so beyond a radius R it is a finite sum of
-y^{-m} e^{+-iy}, whose tail integrals are closed forms in the exponential
-integral E_m.  This module gives that exact path's parts: the radius
-(_hankel_radius), the segment rule's nodes and weights on the core [-R, R]
-(_hankel_core), and the closed-form tails of the j_n (_hankel_tails).
-transform._line_moments joins them into int j_n dy, once per order in a
-process, from which calibration reads C*.
 """
 
-import cmath
 import functools
 import math
 import numbers
@@ -36,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, EvaluationError, InvalidRuleError
+from .errors import ConvergenceError, EvaluationError, InvalidRuleError
 from .specfun import _real
 
 _NEWTON_TOL = 1e-15
@@ -62,11 +52,6 @@ _CHECK_EVERY = 6  # tail segments between later checks
 # at offset k the remainder ~c/k cannot be recovered from a short window
 # around k once k is much larger than the window.
 _LEVIN_PREFIXES = (12, 16, 20)
-# exact series path: core radius floor, and the E_m continued fraction
-_HANKEL_MIN_RADIUS = 24.0
-_LENTZ_TINY = 1e-300
-_LENTZ_EPS = 1e-15
-_LENTZ_MAXIT = 1000
 
 
 @dataclass(frozen=True)
@@ -223,80 +208,6 @@ def _segment_sums(fn, x):
     return (_seg_rule().weights * vals).sum(axis=-1)
 
 
-def _expint_orders(mmax, z):
-    """[0, E_1(z), .., E_mmax(z)] of the generalized exponential integral
-    E_m(z) = int_1^inf e^{-zs} s^{-m} ds, for Re z >= 0 and |z| > mmax.
-
-    E_mmax comes from its continued fraction by the modified Lentz method
-    (Numerical Recipes 6.3), the rest from the downward recurrence
-    E_m = (e^{-z} - m E_{m+1}) / z, which damps errors by m / |z| a step;
-    for |z| <= mmax it would amplify them, by up to mmax! / |z|^mmax, so
-    such a z raises DomainError.
-    """
-    if not abs(z) > mmax:
-        raise DomainError(f"E_m recurrence needs |z| > mmax, got z={z!r}, mmax={mmax}")
-    b = z + mmax
-    c = 1.0 / _LENTZ_TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _LENTZ_MAXIT + 1):
-        a = -i * (mmax - 1 + i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) <= _LENTZ_EPS:
-            break
-    else:
-        raise ConvergenceError(f"E_{mmax}({z}) continued fraction did not converge")
-    ez = cmath.exp(-z)
-    e = [0j] * (mmax + 1)
-    e[mmax] = h * ez
-    for m in range(mmax - 1, 0, -1):
-        e[m] = (ez - m * e[m + 1]) / z
-    return np.array(e)
-
-
-def _hankel_radius(order):
-    """The core radius R of the exact path for rows whose highest j_n order
-    is order: the least R >= max(24, order^2 / 8) that makes whole chunks
-    of four length-pi segments, which keeps the Hankel expansion free of
-    cancellation and R above every m.  The order alone fixes it:
-    16 length-pi segments up to order 14, 1304 at order 128 (MAX_ORDER).
-    """
-    chunk = _CORE_CHUNK_PERIODS * _SEGMENT
-    return 0.5 * chunk * math.ceil(2.0 * max(_HANKEL_MIN_RADIUS, order * order / 8.0) / chunk)
-
-
-def _hankel_core(radius):
-    """Nodes and weights of the exact path's core [-R, R], R from
-    _hankel_radius: the segment rule on each chunk of four length-pi
-    segments, flattened in chunk order."""
-    nchunks = round(2.0 * radius / (_CORE_CHUNK_PERIODS * _SEGMENT))
-    edges = np.linspace(-radius, radius, nchunks + 1)
-    half, nodes = _segment_nodes(edges[:-1], edges[1:])
-    return nodes.ravel(), (half[:, None] * _seg_rule().weights).ravel()
-
-
-def _hankel_tails(h, radius):
-    """Tail integrals v[n] = int_{|y|>R} s_n dy of the rows s_n of a scaled
-    Hankel form (specfun._hankel_table)
-
-        s_n(y) = sum_m (h[n, m] e^{iy} + conj(h[n, m]) e^{-iy}) R^{m-1} y^{-m};
-
-    R must exceed the highest m, h.shape[1] - 1.
-
-    With tau(m) = R^{m-1} int_{|y|>R} y^{-m} e^{iy} dy = E_m(-iR) +
-    (-1)^m E_m(iR) (DLMF 8.19), and conj(tau) for e^{-iy}, the tails are
-    v = h tau + conj(h) conj(tau) = 2 Re(h tau).
-    """
-    size = h.shape[1]
-    sign = np.where(np.arange(size) % 2, -1.0, 1.0)
-    e1 = _expint_orders(size - 1, -1j * radius)
-    return 2.0 * (h @ (e1 + sign * e1.conj())).real
-
-
 @functools.cache
 def _levin_weights(n):
     """(-1)^j C(n, j) ((1+j)/(1+n))^(n-1) for j = 0..n, read-only."""
@@ -359,11 +270,9 @@ def _accelerate(partials, ratio, k0, known=None):
     columns = []
     gap = 1.0 - ratio
     all_one = np.all(np.abs(gap) < 1e-8)  # every ratio 1: no deflation
-    for _ in range(_MAX_DEFLATIONS + 1):
-        if s.shape[1] < 3:
-            break
+    while s.shape[1] >= 3:
         columns.append(s)
-        if all_one:
+        if all_one or len(columns) > _MAX_DEFLATIONS:
             break
         s = (s[:, 1:] - ratio * s[:, :-1]) / gap
 
@@ -412,8 +321,11 @@ def _line_rows(envelope, t, params, labels=None):
     open row from labels, an iterable of row names read only then, once
     max_segments is exhausted, with its last two values.  A row's Levin
     candidates are scored once per integral: a check scores only its new
-    ones, and takes its deflation columns' last partial sums.
+    ones, and takes its deflation columns' last partial sums.  A params that
+    is not a LineIntegralParams is refused before any envelope call.
     """
+    if not isinstance(params, LineIntegralParams):
+        raise InvalidRuleError("params must be a LineIntegralParams")
     t = np.asarray(t, dtype=float)
     abs_t = float(np.max(np.abs(t)))
     if not math.isfinite(abs_t):

@@ -163,26 +163,6 @@ def _jn_table(nmax, z, what="spherical_j: argument"):
     return out.reshape((nmax + 1,) + z.shape)
 
 
-def _hankel_table(nmax, radius):
-    """Scaled Hankel coefficients h of j_0..j_nmax, shape (nmax+1, nmax+2):
-
-        j_n(y) = sum_m (h[n, m] e^{iy} + conj(h[n, m]) e^{-iy}) R^{m-1} y^{-m}
-
-    exactly, for every real y != 0 (DLMF 10.49.1), with R = radius.  That is
-    h[n, k+1] = i^{k-n-1} a_k / (2 R^k), a_k = (n+k)! / (2^k k! (n-k)!), and
-    a_k / R^k is built as a running product, so that no factorial over- or
-    underflows; h[n, 0] = 0, and h[n, m] = 0 for m > n + 1.
-    """
-    n = np.arange(nmax + 1)[:, None]
-    k = np.arange(nmax + 1)
-    scaled = np.ones((nmax + 1, nmax + 1))  # a_k / R^k
-    scaled[:, 1:] = np.cumprod((n + k[:-1] + 1) * (n - k[:-1])
-                               / (2.0 * (k[:-1] + 1) * radius), axis=1)
-    h = np.zeros((nmax + 1, nmax + 2), dtype=complex)
-    h[:, 1:] = 0.5 * np.array([1, 1j, -1, -1j])[(k - n - 1) % 4] * scaled
-    return h
-
-
 def spherical_j_all(nmax, z):
     """j_0(z) .. j_nmax(z) in one stable pass.
 

@@ -4,17 +4,17 @@ spherical-Bessel series on the line.
 Forward:  g(z) = int_-1^1 f(t) e^{izt} dt          (exact, no quadrature)
 Inverse:  f(t) = (1/C) int_-inf^inf g(y) e^{-iyt} dy   for |t| < 1
 
-The printed source constant for C is 4; the divisor actually required to
-make the inverse undo the forward, C*, is measured from the cached line
-moments (calibrate_normalization; it comes out at 2 pi).  Both conventions
-are supported and the measured value is always reported rather than assumed.
+The printed source constant for C is 4; the divisor that makes the inverse
+undo the forward, C*, is exactly 2 pi (calibrate_normalization), by the
+Fourier inverse of Bauer's dictionary below: int j_n(y) e^{-iyt} dy =
+pi (-i)^n P_n(t) (DLMF 10.59).  Both conventions are supported, and
+calibrate reports C* beside the printed 4.
 
 Coefficient dictionaries: by Bauer's expansion e^{izt} = sum (2n+1) i^n
 P_n(t) j_n(z), the forward transform of the Legendre series f = sum cbar_n P_n
 is exactly the Bessel series g = sum c_n j_n with c_n = 2 i^n cbar_n.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, InvalidOrderError, InvalidRuleError,
                      RuleTooSmallError)
-from .quadrature import (LineIntegralParams, _eval_integrand, _hankel_core, _hankel_radius,
-                         _hankel_tails, _line_integrals, _line_rows, _seg_rule)
-from .specfun import MAX_ORDER, _check_order, _hankel_table, _jn_table, _real, legendre_all
+from .quadrature import LineIntegralParams, _eval_integrand, _line_integrals, _line_rows, _seg_rule
+from .specfun import MAX_ORDER, _check_order, _jn_table, _real, legendre_all
 
 CALIBRATED = "calibrated"
 PAPER_QUARTER = "paper-quarter"
@@ -98,7 +97,7 @@ def coeff_unbar(series):
 @dataclass(frozen=True, eq=False)
 class TransformConfig:
     """Normalization convention and line-integral tuning; no computed state:
-    divisor() reads C* from the cached line moments."""
+    divisor() is a closed form of the normalization."""
 
     normalization: str = CALIBRATED
     line_params: LineIntegralParams = None
@@ -112,8 +111,8 @@ class TransformConfig:
             raise InvalidRuleError("line_params must be a LineIntegralParams")
 
     def divisor(self):
-        """The inverse's C: PAPER_C, or the measured mode-0 C*."""
-        return PAPER_C if self.normalization == PAPER_QUARTER else _measured_divisor(0)
+        """The inverse's C: PAPER_C, or C* = 2 pi (calibrate_normalization)."""
+        return PAPER_C if self.normalization == PAPER_QUARTER else 2.0 * math.pi
 
 
 def forward_transform(f, z, config):
@@ -164,30 +163,21 @@ def inverse_transform(g, t, config):
     return values[()]  # 0-d: a scalar
 
 
-def _measured_divisor(mode):
-    """C* = 2^(mode+1) v[mode] / C(mode, mode/2) of an even mode, from the
-    cached line moments v (_line_moments)."""
-    return math.ldexp(_line_moments(mode)[mode], mode + 1) / math.comb(mode, mode // 2)
-
-
 def calibrate_normalization(config, mode=0):
-    """Measured divisor C* making the inverse undo the forward transform.
+    """The divisor C* that makes the inverse undo the forward transform: 2 pi.
 
     The forward transform of P_mode is exactly 2 i^mode j_mode
-    (coeff_unbar); its integral over the line at t = 0, divided by the value
-    P_mode(0) = i^mode C(mode, mode/2) / 2^mode that the inverse must
-    reproduce, is C* = 2^(mode+1) v[mode] / C(mode, mode/2), with v[mode] =
-    int j_mode dy from the cached line moments (_line_moments), which
-    TransformConfig.divisor reads too: C* is 2 pi to rounding and its bits
-    depend only on mode.  It reads nothing of config, so the divisor never
-    fails where an inverse's own integrals would converge (the core is 16
-    segments up to mode 14, 1304 at mode 128).  mode must be even so that
-    P_mode(0) is nonzero.
+    (coeff_unbar), and the inverse must give back P_mode(0) = i^mode
+    C(mode, mode/2) / 2^mode at t = 0.  Bauer's dictionary, inverted (DLMF
+    10.59), gives int j_mode dy = pi |P_mode(0)|, so C* = 2^(mode+1)
+    int j_mode dy / C(mode, mode/2) = 2 pi for every even mode; the tests
+    measure it on the accelerated line engine.  It reads nothing of config.
+    mode must be even so that P_mode(0) is nonzero.
     """
     mode = _check_order(mode)
     if mode % 2:
         raise DomainError("calibration mode must be even (P_n(0) = 0 for odd n)")
-    return _measured_divisor(mode)
+    return 2.0 * math.pi
 
 
 def legendre_projection(f, nmax, rule=None):
@@ -204,25 +194,6 @@ def legendre_projection(f, nmax, rule=None):
     p = legendre_all(nmax, rule.nodes)
     n = np.arange(nmax + 1)
     return LegendreSeries((2 * n + 1) / 2.0 * (p @ (rule.weights * vals)))
-
-
-@functools.cache
-def _line_moments(order):
-    """v, read-only: v[n] = int j_n dy over the whole line for n <= order
-    (exactly pi |P_n(0)|).
-
-    The core [-R, R], R = _hankel_radius(order), is one _jn_table J on the
-    segment rule's nodes with weights w: J w, summed by einsum, not BLAS, so
-    no bit depends on the thread count.  The tails beyond R are closed forms
-    of the Hankel expansion (_hankel_tails), with no tol and no accelerator.
-    Cached per order, so a result read from it depends only on the order.
-    """
-    radius = _hankel_radius(order)
-    nodes, weights = _hankel_core(radius)
-    tail = _hankel_tails(_hankel_table(order, radius), radius)
-    v = np.einsum("ik,k->i", _jn_table(order, nodes), weights, optimize=False) + tail
-    v.flags.writeable = False
-    return v
 
 
 def bessel_projection(g, nmax, config):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import bandlim.quadrature
-import bandlim.specfun
 from bandlim import (ConvergenceError, DomainError, EvaluationError,
                      InvalidRuleError, LineIntegralParams, QuadratureRule,
                      TransformConfig, forward_transform, gauss_legendre_rule,
@@ -187,6 +186,24 @@ class TestLineIntegralParams:
                     dict(max_segments=12.5), dict(max_segments=400.0)):
             with pytest.raises(InvalidRuleError):
                 LineIntegralParams(**bad)
+
+    @pytest.mark.parametrize("params", [(1e-9, 400), 1e-9, TransformConfig()],
+                             ids=["tuple", "float", "config"])
+    def test_engine_refuses_other_params_before_any_envelope_call(self, params, monkeypatch):
+        calls = []
+
+        def env(y):
+            calls.append(y.size)
+            return j0_env(y)
+
+        table = bandlim.transform._jn_table
+        monkeypatch.setattr(bandlim.transform, "_jn_table",
+                            lambda nmax, y: calls.append(y.size) or table(nmax, y))
+        for run in (lambda: integrate_oscillatory_line(env, 0.3, params),
+                    lambda: orthogonality_matrix_j(2, params)):
+            with pytest.raises(InvalidRuleError, match="params must be a LineIntegralParams"):
+                run()
+        assert calls == []
 
 
 def j0_env(y):
@@ -643,92 +660,3 @@ class TestBatchedTails:
                             lambda nmax, y: sizes.append(y.size) or table(nmax, y))
         orthogonality_matrix_j(3)
         assert sizes[:checks[0]] == [64, 64, 64 * _FIRST_CHECK]
-
-
-class TestHankelTails:
-    """The exact path for series at t = 0: E_m against mpmath, and whole
-    line integrals against their closed forms."""
-
-    @pytest.mark.parametrize("order", [0, 3, 10, 40, 70])
-    @pytest.mark.parametrize("omega", [1, 2])
-    def test_expint_against_mpmath(self, order, omega):
-        # the orders and arguments the exact path uses (omega = 1): a series
-        # of j_n, n <= order, needs E_1..E_{order+1} at +-iR; omega = 2
-        # doubles both, E_1..E_{2 order+2} at +-2iR
-        nchunks = math.ceil(max(24.0, order * order / 8.0) / (2 * math.pi))
-        self.check_expint(omega * (order + 1), omega * 2 * math.pi * nchunks)
-
-    def test_expint_at_radius_floor(self):
-        self.check_expint(23, 24.0)
-
-    def check_expint(self, mmax, r):
-        mpmath = pytest.importorskip("mpmath")
-        for z in (-1j * r, 1j * r):
-            got = bandlim.quadrature._expint_orders(mmax, z)
-            assert got[0] == 0 and got.size == mmax + 1
-            with mpmath.workdps(20):
-                want = [complex(mpmath.expint(m, z)) for m in range(1, mmax + 1)]
-            assert np.max(np.abs(got[1:] - want) / np.abs(want)) < 2e-15
-
-    def test_expint_refuses_small_argument(self):
-        # the downward recurrence needs |z| > mmax; at or below it the error
-        # grows by up to mmax! / |z|^mmax, so the call raises instead
-        for z in (-10j, 5j, 0j, complex(math.nan, 0)):
-            with pytest.raises(DomainError, match=r"z=.*mmax=10"):
-                bandlim.quadrature._expint_orders(10, z)
-        assert bandlim.quadrature._expint_orders(10, -10.5j).size == 11
-
-    def test_tail_functional_at_zero_frequency(self):
-        # s = cos y / y (h[0, 1] = 1/2): int_{|y|>R} s = 0 by parity
-        v = bandlim.quadrature._hankel_tails(np.array([[0, 0.5]]), 30.0)
-        assert abs(v[0]) < 1e-16
-
-    @pytest.mark.parametrize("order", [0, 5, 40])
-    def test_sinc_integral(self, order):
-        # j_0 = sin y / y integrates to pi, whatever order sets the radius:
-        # the core rule on sinc plus the closed-form series tail of j_0
-        h = bandlim.quadrature
-        radius = h._hankel_radius(order)
-        nodes, weights = h._hankel_core(radius)
-        tail = h._hankel_tails(bandlim.specfun._hankel_table(0, radius), radius)
-        assert abs(np.sinc(nodes / np.pi) @ weights + tail[0] - math.pi) < 4e-15
-
-    @pytest.mark.parametrize("order", [0, 3, 9, 20])
-    def test_tails_match_jn_table_between_radii(self, order):
-        # the series tails at R less those at R2 are the integrals of the j_n
-        # table over R < |y| < R2
-        h = bandlim.quadrature
-        radius = h._hankel_radius(order)
-        far = radius + 8 * math.pi  # two more chunks on each side
-        nodes, weights = h._hankel_core(far)
-        outer = np.abs(nodes) > radius
-        table = _jn_table(order, nodes[outer])
-        near_v = h._hankel_tails(bandlim.specfun._hankel_table(order, radius), radius)
-        far_v = h._hankel_tails(bandlim.specfun._hankel_table(order, far), far)
-        assert np.max(np.abs(near_v - far_v - table @ weights[outer])) < 2e-15
-
-    def test_core_rule(self):
-        # 16 segments of length pi on [-8 pi, 8 pi], the rule on each chunk
-        # of four: 128 nodes, symmetric, with weights summing to 2 R
-        nodes, weights = bandlim.quadrature._hankel_core(8 * math.pi)
-        assert nodes.shape == weights.shape == (4 * _seg_rule().nodes.size,)
-        assert np.all(np.diff(nodes) > 0) and np.all(np.abs(nodes) < 8 * math.pi)
-        assert np.max(np.abs(nodes + nodes[::-1])) < 1e-14
-        assert math.isclose(weights.sum(), 16 * math.pi, rel_tol=1e-15)
-
-    def test_radius(self):
-        h = bandlim.quadrature
-        # the least multiple of 2 pi (a chunk of four length-pi segments is
-        # 4 pi wide, and the core spans 2R) at or above max(24, order^2 / 8)
-        assert h._hankel_radius(0) == h._hankel_radius(14) == 8 * math.pi
-        assert h._hankel_radius(15) == 10 * math.pi
-        assert h._hankel_radius(70) == 196 * math.pi
-
-    @pytest.mark.parametrize("order, segments", [(0, 16), (14, 16), (70, 392),
-                                                 (71, 404), (128, 1304)])
-    def test_core_segments(self, order, segments):
-        # the order alone fixes the core: order 0 has R = 8 pi >= 24, so 16
-        # segments of length pi, and the supported maximum 128 has 1304
-        h = bandlim.quadrature
-        nodes, _ = h._hankel_core(h._hankel_radius(order))
-        assert nodes.size == segments * _seg_rule().nodes.size // 4

@@ -310,50 +310,3 @@ class TestPoisson:
     def test_non_finite_z_refused(self, z):
         with pytest.raises(DomainError, match="positive and finite"):
             half_integer_bessel_via_poisson(2, z, gauss_legendre_rule(16))
-
-
-class TestHankelTable:
-    """The finite Hankel form of j_n, scaled by the exact path's radius R,
-    reproduces the j_n table wherever the exact path uses it, |y| >= R."""
-
-    @pytest.mark.parametrize("nmax", [0, 1, 3, 10, 30, 70])
-    def test_matches_jn_table_beyond_radius(self, nmax):
-        radius = 2 * math.pi * math.ceil(max(24.0, nmax * nmax / 8.0) / (2 * math.pi))
-        h = specfun._hankel_table(nmax, radius)
-        y = np.linspace(radius, 4 * radius, 101)
-        y = np.concatenate([y, -y])
-        m = np.arange(nmax + 2)
-        powers = (radius / y[:, None]) ** (m - 1) / y[:, None]  # R^{m-1} y^{-m}
-        hankel = (np.exp(1j * y) * (h @ powers.T)
-                  + np.exp(-1j * y) * (h.conj() @ powers.T))
-        # j_n decays like 1/|y|: compare in units of that envelope
-        err = np.abs(hankel - specfun._jn_table(nmax, y)) * np.abs(y)
-        assert np.max(err) < 1e-14
-
-    @pytest.mark.parametrize("nmax", [0, 2, 9])
-    def test_laurent_rows_match_jn_table(self, nmax):
-        # the form whose tails quadrature._hankel_tails integrates, pointwise:
-        # series rows h e^{iy} + conj(h) e^{-iy} against a j_n table
-        radius = 8 * math.pi
-        h = specfun._hankel_table(nmax, radius)
-        rng = np.random.default_rng(nmax)
-        a = rng.normal(size=(3, nmax + 1)) + 1j * rng.normal(size=(3, nmax + 1))
-        y = np.concatenate([np.linspace(radius, 4 * radius, 101),
-                            -np.linspace(radius, 4 * radius, 101)])
-        table = specfun._jn_table(nmax, y)
-        m = np.arange(nmax + 2)
-        powers = (radius / y[:, None]) ** (m - 1) / y[:, None]  # R^{m-1} y^{-m}
-        series = np.exp(1j * y) * (h @ powers.T) + np.exp(-1j * y) * (h.conj() @ powers.T)
-        assert np.max(np.abs(a @ series - a @ table) * np.abs(y)) < 1e-13
-
-    def test_shape_and_zero_pattern(self):
-        h = specfun._hankel_table(5, 30.0)
-        assert h.shape == (6, 7)
-        for n in range(6):
-            assert h[n, 0] == 0 and np.all(h[n, n + 2:] == 0)
-            assert np.all(h[n, 1:n + 2] != 0)
-
-    def test_no_overflow_at_max_order(self):
-        h = specfun._hankel_table(specfun.MAX_ORDER, 2048.0)
-        assert np.all(np.isfinite(h))
-        assert abs(h[specfun.MAX_ORDER, 1]) == 0.5  # a_0 = 1

@@ -2,9 +2,9 @@
 
 Each setting runs in a child Python whose environment alone sets
 OPENBLAS_NUM_THREADS and OMP_NUM_THREADS.  The child prints the SHA-256 of
-every result that reaches a coefficient product: the cached line moments,
-a degree-128 Bessel projection, the corpus entries that read them or
-solve an ODE, and one solve of a degree-128 right-hand side.
+every result that reaches a coefficient product: a degree-128 Bessel
+projection, the corpus entries that project, calibrate or solve an ODE,
+and one solve of a degree-128 right-hand side.
 """
 
 import os
@@ -22,13 +22,10 @@ import numpy as np
 from bandlim import BesselSeries, bessel_projection, solve
 from bandlim.cli import main
 from bandlim.odesolve import operator_from_json
-from bandlim.transform import _line_moments
 
 def sha(*arrays):
     return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
 
-for order in (8, 16, 64, 128):
-    print(f"_line_moments({order})", sha(_line_moments(order)), sep="\t")
 rng = np.random.default_rng(128)
 g = BesselSeries(rng.normal(size=129) + 1j * rng.normal(size=129))
 print("bessel_projection to nmax 128", sha(bessel_projection(g, 128, None).coeffs), sep="\t")
@@ -62,10 +59,10 @@ def digests():
 
 
 def test_products_same_bits_at_1_and_2_threads(digests):
-    # moments at 4 orders, the projection, and 7 corpus entries: the three
-    # project-bessel, the three solve-ode and calibrate
+    # the projection and 7 corpus entries: the three project-bessel, the
+    # three solve-ode and calibrate
     one, two = ({k: v for k, v in d.items() if k != FULL_SOLVE} for d in digests.values())
-    assert len(one) == 12 and all("exit=0" in v for k, v in one.items() if " --" in k)
+    assert len(one) == 8 and all("exit=0" in v for k, v in one.items() if " --" in k)
     assert one == two
 
 

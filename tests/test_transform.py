@@ -192,8 +192,8 @@ class TestCalibration:
 
     def test_divisor_conventions(self, config):
         assert config.divisor() == calibrate_normalization(config)
-        cfg = TransformConfig(normalization=PAPER_QUARTER)
-        assert cfg.divisor() == 4.0
+        assert TransformConfig().divisor() == 2 * math.pi
+        assert TransformConfig(PAPER_QUARTER).divisor() == 4.0
 
     def test_bad_normalization(self):
         with pytest.raises(DomainError):
@@ -668,12 +668,20 @@ class TestInverseStacks:
 
 
 class TestExactSeriesPath:
-    """Calibration and projections of a BesselSeries integrate a core window
-    and add their tails in closed form, with no accelerator."""
+    """Calibration and projections of a BesselSeries are closed forms, with
+    no line integral; the accelerated engine measures C* = 2 pi."""
 
     @pytest.mark.parametrize("mode", range(0, 11, 2))
     def test_calibration_is_two_pi(self, mode):
         assert abs(calibrate_normalization(TransformConfig(), mode) - 2 * math.pi) < 1e-14
+
+    @pytest.mark.parametrize("mode", range(0, 17, 2))
+    def test_engine_measures_two_pi(self, mode):
+        # int j_m dy = pi |P_m(0)| = pi C(m, m/2) / 2^m on the accelerated
+        # engine, so 2^(m+1) int j_m dy / C(m, m/2) is the divisor 2 pi
+        v = integrate_oscillatory_line(lambda y: _jn_table(mode, y)[mode], 0.0)
+        measured = math.ldexp(v.real, mode + 1) / math.comb(mode, mode // 2)
+        assert abs(measured - 2 * math.pi) < 1e-13
 
     def test_calibration_does_not_read_line_params(self):
         # C* is exact, so it needs no tolerance, and a cap small enough to
@@ -712,12 +720,10 @@ class TestExactSeriesPath:
                          bessel_projection(g, 4, TransformConfig()).coeffs)
 
     def test_results_depend_only_on_inputs(self):
-        # the cached moments are a function of the order alone: a cold cache,
-        # and one filled by other orders on this and a fresh config, give
-        # the same bits, and nobody can write into a cached array
+        # the first calls, and calls after other orders on this and a fresh
+        # config, give the same bits
         g = BesselSeries([0.5, -0.3j, 0.9])
         cfg = TransformConfig()
-        bandlim.transform._line_moments.cache_clear()
         cold = bessel_projection(g, 4, cfg).coeffs, calibrate_normalization(cfg, 4)
         for config in (cfg, TransformConfig()):
             for nmax in (2, 7, 12):
@@ -727,23 +733,11 @@ class TestExactSeriesPath:
         for config in (cfg, TransformConfig()):
             assert same_bits(bessel_projection(g, 4, config).coeffs, cold[0])
             assert calibrate_normalization(config, 4) == cold[1]
-        v = bandlim.transform._line_moments(4)
-        with pytest.raises(ValueError):
-            v[0] = 1.0
-
-    @pytest.mark.parametrize("order", [16, 32, 64, 128])
-    def test_line_moments_against_exact(self, order):
-        # int j_n dy = pi |P_n(0)| = pi C(n, n/2) / 2^n for even n, 0 for odd n
-        v = bandlim.transform._line_moments(order)
-        want = [math.pi * math.comb(k, k // 2) / 2.0 ** k if k % 2 == 0 else 0.0
-                for k in range(order + 1)]
-        assert np.max(np.abs(v - want)) < 1e-13
 
     def test_calibration_is_two_pi_to_max_order(self):
         cfg = TransformConfig()
-        errors = [abs(calibrate_normalization(cfg, mode) - 2 * math.pi)
-                  for mode in range(0, 129, 2)]
-        assert max(errors) < 1e-12
+        assert all(calibrate_normalization(cfg, mode) == 2 * math.pi
+                   for mode in range(0, 129, 2))
 
     @pytest.mark.parametrize("degree", [32, 64, 128])
     def test_projection_recovers_high_degree(self, degree):
