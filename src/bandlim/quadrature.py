@@ -11,7 +11,12 @@ mapped, and its chunk sums added, once per integral.  With
 length-pi segments the two modes of a spherical-Bessel-type envelope,
 e^{iy(1-t)} and e^{-iy(1+t)}, share the per-segment ratio -e^{-i pi t} on
 the right tail (its conjugate on the left), which a known-ratio deflation
-removes; a Levin u-transformation mops up algebraic tails (1/y^2 products).
+removes; a Levin u-transformation mops up the algebraic remainder.  A
+product of two such functions, as a Gram entry j_n j_m is, has the tail
+modes e^{+-2iy}/y^2 and 1/y^2 instead: with the factor e^{-iyt} they share
+the ratio +e^{-i pi t}, which is 1 at t = 0, where the accelerator skips
+deflation and extrapolates the partial sums alone.  In general an envelope
+of `factors` band-limited factors has the ratio (-1)^factors e^{-i pi t}.
 
 The slow beat mode at frequency 1-|t| carries its information only at
 |y| of order 1/(1-|t|), so the core half-width scales like 1/(1-|t|)
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, EvaluationError, InvalidRuleError
+from .errors import ConvergenceError, DomainError, EvaluationError, InvalidRuleError
 from .specfun import _real
 
 _NEWTON_TOL = 1e-15
@@ -300,7 +305,7 @@ def _accelerate(partials, ratio, k0, known=None):
     return values[best, rows], spreads[best, rows]
 
 
-def _line_rows(envelope, t, params, labels=None):
+def _line_rows(envelope, t, params, labels=None, factors=1):
     """Yields (i, int envelope(y)[i] e^{-iy t_i} dy) the moment row i converges.
 
     envelope maps nodes y of shape (m,) to a stack (k, m), or (1, m) shared
@@ -321,7 +326,10 @@ def _line_rows(envelope, t, params, labels=None):
     open row from labels, an iterable of row names read only then, once
     max_segments is exhausted, with its last two values.  A row's Levin
     candidates are scored once per integral: a check scores only its new
-    ones, and takes its deflation columns' last partial sums.  A params that
+    ones, and takes its deflation columns' last partial sums.  factors is
+    the number of band-limited factors of every envelope row (2 for a
+    product j_n j_m): the right tails share the per-segment ratio
+    (-1)^factors e^{-i pi t_i}, the left tails its conjugate.  A params that
     is not a LineIntegralParams is refused before any envelope call.
     """
     if not isinstance(params, LineIntegralParams):
@@ -359,9 +367,12 @@ def _line_rows(envelope, t, params, labels=None):
                             axis=1)
     core = np.cumsum(chunks, axis=1)[:, -1]
 
-    # with L = pi both Bessel-tail modes share one per-segment ratio per tail
+    # with L = pi every tail mode of a product of `factors` Bessel-type
+    # functions shares one per-segment ratio per tail
     row_t = np.broadcast_to(t, (k,))
-    ratio = -np.exp(1j * math.pi * np.concatenate([-row_t, row_t]))[:, None]
+    ratio = np.exp(1j * math.pi * np.concatenate([-row_t, row_t]))[:, None]
+    if factors % 2:
+        ratio = -ratio
     k0 = halfwidth / L
 
     terms = []  # per segment: every row's right tail term, then its left
@@ -404,9 +415,9 @@ def _line_rows(envelope, t, params, labels=None):
         last_values=tuple(complex(h[0]) for h in history[-2:]))
 
 
-def _line_integrals(envelope, t, params, labels=None):
+def _line_integrals(envelope, t, params, labels=None, factors=1):
     """The k values of _line_rows as one array, in row order."""
-    return np.array([v for _, v in sorted(_line_rows(envelope, t, params, labels))])
+    return np.array([v for _, v in sorted(_line_rows(envelope, t, params, labels, factors))])
 
 
 def integrate_oscillatory_line(envelope, t, params=None):
@@ -421,5 +432,8 @@ def integrate_oscillatory_line(envelope, t, params=None):
     """
     if params is None:
         params = LineIntegralParams()
+    t = _real(t, "t")
+    if t.ndim:
+        raise DomainError(f"t must be a scalar, got shape {t.shape}")
     return complex(_line_integrals(lambda y: _eval_integrand(envelope, y)[None],
-                                   float(_real(t, "t")), params)[0])
+                                   float(t), params)[0])

@@ -38,11 +38,15 @@ def _check_order(n):
 
 def _real(x, what):
     """x as a float array, bit for bit if it is real; an entry with a nonzero
-    imaginary part raises DomainError instead of being cut to its real part.
+    imaginary part raises DomainError instead of being cut to its real part,
+    and so does data that is not numeric (a string, None) or is boolean.
     Every z and t entering the library passes here, and a float array, as
     the line engine's nodes are, pays one dtype test."""
     x = np.asarray(x)
     if x.dtype is not _FLOAT:
+        if x.dtype.kind not in "iufc":
+            shown = repr(x.item()) if x.ndim == 0 else f"an array of {x.dtype}"
+            raise DomainError(f"{what} must be real, got {shown}")
         if x.dtype.kind == "c":
             if np.any(x.imag):
                 raise DomainError(f"{what} must be real")

@@ -282,12 +282,13 @@ class TestGates:
         assert "t=0.0" in err and "G[1, 9]" in err and "G[0, 0]" not in err
 
     def test_ortho_nonconvergence_names_pairs_at_a_tight_cap(self, capsys):
-        # the twin of the nmax 9 case above: at 24 segments G[0, 0]
-        # converges and G[1, 3] does not
-        code, out, err = run(capsys, "ortho-check", "--nmax", "3",
-                             "--max-segments", "24", "--out", "-")
+        # the twin of the nmax 9 case above: at 30 segments every entry
+        # converges but G[1, 9] and G[3, 9], as at 400
+        code, out, err = run(capsys, "ortho-check", "--nmax", "9",
+                             "--max-segments", "30", "--out", "-")
         assert code == 2 and out == ""
-        assert "t=0.0" in err and "G[1, 3]" in err and "G[0, 0]" not in err
+        assert "t=0.0" in err and "within 30 segments" in err
+        assert err.rstrip().endswith("for G[1, 9], G[3, 9]")
 
 
 class TestPlumbing:

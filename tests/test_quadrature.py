@@ -461,7 +461,7 @@ def _ref_segment_integral(fn, a, b):
     return 0.5 * (b - a) * np.sum(rule.weights * fn(x), axis=-1)
 
 
-def _ref_line_integrals(envelope, t, params, labels=None):
+def _ref_line_integrals(envelope, t, params, labels=None, factors=1):
     t = float(t)
     L = _SEGMENT
     fn = lambda y: envelope(y) * np.exp(-1j * y * t)
@@ -472,7 +472,11 @@ def _ref_line_integrals(envelope, t, params, labels=None):
     edges = np.linspace(-halfwidth, halfwidth, nchunks + 1)
     core = sum(_ref_segment_integral(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
     k = core.size
-    ratio = np.repeat([-np.exp(-1j * math.pi * t), -np.exp(1j * math.pi * t)], k)[:, None]
+    # a product of `factors` Bessel-type functions: per-segment tail ratio
+    # (-1)^factors e^{-i pi t} on the right, its conjugate on the left
+    ratio = np.repeat([np.exp(-1j * math.pi * t), np.exp(1j * math.pi * t)], k)[:, None]
+    if factors % 2:
+        ratio = -ratio
     k0 = halfwidth / L
     terms = []
     nseg = 0
@@ -543,18 +547,21 @@ class TestBatchedTails:
     """Both tails of every check come from one envelope call, and every
     value and error equals the per-segment reference bit for bit."""
 
-    @pytest.mark.parametrize("max_segments", [12, 13, 18, 400])
+    @pytest.mark.parametrize("max_segments", [12, 13, 18, 30, 400])
     def test_stacks_match_reference(self, max_segments):
-        # gram_stack(8) is the benchmark's Gram matrix: its rows freeze over
-        # six checks, the last at 42 tail segments
+        # gram_stack(8) is the benchmark's Gram matrix: under the product
+        # ratio (factors=2) its rows freeze over four checks, the last at 30
+        # tail segments; under the single-factor ratio over six, the last at 42
         params = LineIntegralParams(max_segments=max_segments)
         gram_labels = {nmax: [f"G[{n}, {m}]" for n, m in zip(*np.triu_indices(nmax + 1))]
                        for nmax in (6, 8)}
         proj_labels = [f"{row}_{n}" for row in "cK" for n in range(6)]
-        for env, labels in ((gram_stack(6), gram_labels[6]), (gram_stack(8), gram_labels[8]),
-                            (projection_stack(G3, 5), proj_labels)):
-            want = outcome(_ref_line_integrals, env, 0.0, params, labels)
-            assert outcome(_line_integrals, env, 0.0, params, labels) == want
+        for env, labels, factors in ((gram_stack(6), gram_labels[6], 1),
+                                     (gram_stack(8), gram_labels[8], 1),
+                                     (gram_stack(8), gram_labels[8], 2),
+                                     (projection_stack(G3, 5), proj_labels, 1)):
+            want = outcome(_ref_line_integrals, env, 0.0, params, labels, factors)
+            assert outcome(_line_integrals, env, 0.0, params, labels, factors) == want
 
     @pytest.mark.parametrize("max_segments", [12, 13, 18, 400])
     @pytest.mark.parametrize("t", EDGE_T)
@@ -593,8 +600,9 @@ class TestBatchedTails:
                 _line_integrals(env, t, LineIntegralParams())
 
     def test_scalar_t_only(self):
-        with pytest.raises(TypeError):
-            integrate_oscillatory_line(j0_env, np.array([0.3, -0.3]))
+        for t in ([0.3, -0.3], [0.1, 0.2]):
+            with pytest.raises(DomainError, match=r"^t must be a scalar, got shape \(2,\)$"):
+                integrate_oscillatory_line(j0_env, np.array(t))
 
     @staticmethod
     def count_checks(monkeypatch, sizes):
@@ -633,23 +641,33 @@ class TestBatchedTails:
         assert sizes[:checks[0]] == [64] * 1592 + [64 * _FIRST_CHECK]
 
     def test_gram_scores_each_levin_candidate_once(self, monkeypatch):
-        # orthogonality_matrix_j(8) converges in six checks, at 12, 18, ..,
-        # 42 tail segments.  At 30 segments deflation columns 11 and 12 hold
-        # 19 and 18 terms, short of the longest Levin prefix, 20: the check
-        # at 36 scores their prefix 20 (one call at each of the lengths 19
-        # and 20), and the check at 42, which knows every candidate, none
+        # orthogonality_matrix_j(8) integrates its 25 rows with n + m even
+        # at t = 0 under the product ratio 1: no deflation, so the partial
+        # sums are the one column, and it converges in four checks, at 12,
+        # 18, 24 and 30 tail segments.  Each Levin candidate on prefix p
+        # costs a call at each of the lengths p and p - 1: the check at 12
+        # scores prefix 12, the one at 18 the prefixes 16 and 18, the one
+        # at 24 prefix 20, and the one at 30, which knows every candidate,
+        # none
         levin_calls = []  # per check
+        shapes = []
         accelerate = bandlim.quadrature._accelerate
         levin = bandlim.quadrature._levin_limit
 
         def counted(*args):
             levin_calls[-1] += 1
             return levin(*args)
-        monkeypatch.setattr(bandlim.quadrature, "_accelerate",
-                            lambda *args: levin_calls.append(0) or accelerate(*args))
+
+        def checked(partials, ratio, *args):
+            assert np.all(ratio == 1.0)
+            levin_calls.append(0)
+            shapes.append(partials.shape)
+            return accelerate(partials, ratio, *args)
+        monkeypatch.setattr(bandlim.quadrature, "_accelerate", checked)
         monkeypatch.setattr(bandlim.quadrature, "_levin_limit", counted)
         orthogonality_matrix_j(8)
-        assert len(levin_calls) == 6 and levin_calls[-2:] == [2, 0]
+        assert levin_calls == [2, 4, 2, 0]
+        assert shapes == [(50, n) for n in (12, 18, 24, 30)]
 
     def test_gram_core_in_one_pair(self, monkeypatch):
         # the Gram matrix integrates at t = 0: core half-width 7 pi, 4 chunks
