@@ -17,6 +17,9 @@ modes e^{+-2iy}/y^2 and 1/y^2 instead: with the factor e^{-iyt} they share
 the ratio +e^{-i pi t}, which is 1 at t = 0, where the accelerator skips
 deflation and extrapolates the partial sums alone.  In general an envelope
 of `factors` band-limited factors has the ratio (-1)^factors e^{-i pi t}.
+A stack of rows even in y at t = 0 (the Gram matrix's) is evaluated on
+the right tail only: the left tail's nodes and weighted products are the
+right's mirrored exactly, so its sums keep every bit.
 
 The slow beat mode at frequency 1-|t| carries its information only at
 |y| of order 1/(1-|t|), so the core half-width scales like 1/(1-|t|)
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, EvaluationError, InvalidRuleError
-from .specfun import _real
+from .errors import ConvergenceError, EvaluationError, InvalidRuleError
+from .specfun import _real_scalar
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
@@ -305,7 +308,7 @@ def _accelerate(partials, ratio, k0, known=None):
     return values[best, rows], spreads[best, rows]
 
 
-def _line_rows(envelope, t, params, labels=None, factors=1):
+def _line_rows(envelope, t, params, labels=None, factors=1, even=False):
     """Yields (i, int envelope(y)[i] e^{-iy t_i} dy) the moment row i converges.
 
     envelope maps nodes y of shape (m,) to a stack (k, m), or (1, m) shared
@@ -329,8 +332,13 @@ def _line_rows(envelope, t, params, labels=None, factors=1):
     ones, and takes its deflation columns' last partial sums.  factors is
     the number of band-limited factors of every envelope row (2 for a
     product j_n j_m): the right tails share the per-segment ratio
-    (-1)^factors e^{-i pi t_i}, the left tails its conjugate.  A params that
-    is not a LineIntegralParams is refused before any envelope call.
+    (-1)^factors e^{-i pi t_i}, the left tails its conjugate.  even says
+    every row is even in y (j_n j_m, n + m even), for the scalar t = 0 only:
+    each check evaluates the right tails' new segments alone, and a left
+    segment sums its mirror's weighted products in reverse order.  No bit
+    moves, as the segment rule is exactly symmetric and e^{-iy 0} is a cast
+    to complex.  A params that is not a LineIntegralParams, or even with
+    another t, is refused before any envelope call.
     """
     if not isinstance(params, LineIntegralParams):
         raise InvalidRuleError("params must be a LineIntegralParams")
@@ -340,8 +348,11 @@ def _line_rows(envelope, t, params, labels=None, factors=1):
         raise EvaluationError("t must be finite")
     if t.ndim > 1 or np.any(np.abs(t) != abs_t):
         raise EvaluationError("t must be a scalar or a 1-d array sharing one |t|")
+    if even and (t.ndim or abs_t):
+        raise EvaluationError("even rows need the scalar t = 0")
     L = _SEGMENT
-    fn = lambda y: envelope(y) * np.exp(-1j * y * t[..., None])
+    fn = ((lambda y: envelope(y).astype(complex)) if even
+          else lambda y: envelope(y) * np.exp(-1j * y * t[..., None]))
 
     # the beat mode at frequency |1 - |t|| needs samples out to ~1/(1-|t|)
     edge_dist = abs(1.0 - abs_t)
@@ -375,7 +386,7 @@ def _line_rows(envelope, t, params, labels=None, factors=1):
         ratio = -ratio
     k0 = halfwidth / L
 
-    terms = []  # per segment: every row's right tail term, then its left
+    sums = np.empty((0, 2 * k), dtype=complex)  # per segment: right tails, then left
     nseg = 0
     pending = np.arange(k)  # rows not yet converged
     known = {}  # the pending tail rows' Levin candidates, for _accelerate
@@ -384,15 +395,24 @@ def _line_rows(envelope, t, params, labels=None, factors=1):
     while nseg < params.max_segments:
         target = min(nseg + batch, params.max_segments)
         a = halfwidth + np.arange(nseg, target) * L  # right segments' lower ends
-        seg = _segment_integrals(fn, np.stack([a, -a - L], axis=-1),
-                                 np.stack([a + L, -a], axis=-1))
-        terms.extend(seg.transpose(1, 2, 0).reshape(target - nseg, 2 * k))
+        if even:
+            half, x = _segment_nodes(a, a + L)
+            products = _seg_rule().weights * fn(x.reshape(-1)).reshape((-1,) + x.shape)
+            seg = half[:, None] * np.stack([products.sum(axis=-1),
+                                            products[..., ::-1].copy().sum(axis=-1)], axis=-1)
+        else:
+            seg = _segment_integrals(fn, np.stack([a, -a - L], axis=-1),
+                                     np.stack([a + L, -a], axis=-1))
+        terms = seg.transpose(1, 2, 0).reshape(target - nseg, 2 * k)
+        if nseg:  # continue the sequential sums from their last row
+            terms[0] += sums[-1]
+        sums = np.concatenate([sums, np.cumsum(terms, axis=0)])
         nseg = target
         batch = _CHECK_EVERY
         n = pending.size
         # fancy indexing copies: the accelerator gets C-contiguous rows
         rows = np.concatenate([pending, pending + k])
-        tails, spread = _accelerate(np.cumsum(terms, axis=0).T[rows], ratio[rows], k0, known)
+        tails, spread = _accelerate(sums.T[rows], ratio[rows], k0, known)
         est = core[pending] + tails[:n] + tails[n:]
         if history:
             scale = params.tol * np.maximum(1.0, np.abs(est))
@@ -415,9 +435,9 @@ def _line_rows(envelope, t, params, labels=None, factors=1):
         last_values=tuple(complex(h[0]) for h in history[-2:]))
 
 
-def _line_integrals(envelope, t, params, labels=None, factors=1):
+def _line_integrals(envelope, t, params, labels=None, factors=1, even=False):
     """The k values of _line_rows as one array, in row order."""
-    return np.array([v for _, v in sorted(_line_rows(envelope, t, params, labels, factors))])
+    return np.array([v for _, v in sorted(_line_rows(envelope, t, params, labels, factors, even))])
 
 
 def integrate_oscillatory_line(envelope, t, params=None):
@@ -432,8 +452,5 @@ def integrate_oscillatory_line(envelope, t, params=None):
     """
     if params is None:
         params = LineIntegralParams()
-    t = _real(t, "t")
-    if t.ndim:
-        raise DomainError(f"t must be a scalar, got shape {t.shape}")
     return complex(_line_integrals(lambda y: _eval_integrand(envelope, y)[None],
-                                   float(t), params)[0])
+                                   _real_scalar(t, "t"), params)[0])

@@ -55,6 +55,14 @@ def _real(x, what):
     return x
 
 
+def _real_scalar(x, what):
+    """_real of a scalar argument, as a float; an array raises DomainError."""
+    x = _real(x, what)
+    if x.ndim:
+        raise DomainError(f"{what} must be a scalar, got shape {x.shape}")
+    return float(x)
+
+
 def legendre_all(nmax, t):
     """All Legendre polynomials P_0(t) .. P_nmax(t) in one recurrence pass.
 
@@ -111,21 +119,22 @@ def _jn_upward(nmax, z):
 
 
 def _jn_miller(nmax, z):
-    """Downward (Miller) recurrence normalized against j_0 or j_1."""
+    """Downward (Miller) recurrence normalized against j_0 or j_1.  Every 8
+    steps, points past _RESCALE_LIMIT are scaled by the exact 2^-830; a step
+    grows them at most 651-fold, as (2n+1)/|z| <= 650 at |z| >= 0.5."""
     start = nmax + _MILLER_EXTRA
-    out = np.zeros((nmax + 1,) + z.shape, dtype=float)
-    jp = np.zeros_like(z)
-    jc = np.full_like(z, 1e-30)
-    for n in range(start, -1, -1):
-        if n <= nmax:
-            out[n] = jc
-        jm = (2 * n + 1) / z * jc - jp
-        jp, jc = jc, jm
-        big = np.abs(jc) > _RESCALE_LIMIT
-        if big.any():
-            jp = np.where(big, jp * 1e-250, jp)
-            jc = np.where(big, jc * 1e-250, jc)
-            out[:, big] *= 1e-250
+    trial = np.zeros((start + 2,) + z.shape, dtype=float)
+    trial[start] = 1e-30
+    # scratch rows, as a ufunc writing over one of its inputs pays an overlap test
+    rows, ratio, product = list(trial), np.empty_like(z), np.empty_like(z)
+    for n in range(start, 0, -1):
+        np.divide(2 * n + 1, z, ratio)
+        np.multiply(ratio, rows[n], product)
+        np.subtract(product, rows[n + 1], rows[n - 1])
+        if n % 8 == 0 and np.abs(rows[n - 1]).max() > _RESCALE_LIMIT:
+            big = np.abs(rows[n - 1]) > _RESCALE_LIMIT
+            trial[n - 1:, big] = np.ldexp(trial[n - 1:, big], -830)
+    out = trial[:nmax + 1]
     # normalize with whichever of the j_0, j_1 trials is better conditioned
     # at each point; at order 0 the j_1 trial is j_0 itself, so j_0 is used
     j0 = np.sin(z) / z
@@ -190,7 +199,7 @@ def half_integer_bessel_via_poisson(n, z, rule):
     with nu = n + 1/2, so Gamma(nu+1/2) = Gamma(n+1) = n!.
     """
     n = _check_order(n)
-    z = float(_real(z, "half_integer_bessel_via_poisson: z"))
+    z = _real_scalar(z, "half_integer_bessel_via_poisson: z")
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError("half_integer_bessel_via_poisson: z must be positive and finite")
     nu = n + 0.5

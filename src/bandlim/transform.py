@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, InvalidOrderError, InvalidRuleError,
                      RuleTooSmallError)
 from .quadrature import LineIntegralParams, _eval_integrand, _line_integrals, _line_rows, _seg_rule
-from .specfun import MAX_ORDER, _check_order, _jn_table, _real, legendre_all
+from .specfun import MAX_ORDER, _check_order, _jn_table, _real, _real_scalar, legendre_all
 
 CALIBRATED = "calibrated"
 PAPER_QUARTER = "paper-quarter"
@@ -216,7 +216,7 @@ def bauer_partial_sum(z, t, order):
     """Partial sum sum_{n<=order} (2n+1) i^n P_n(t) j_n(z) of the plane wave
     e^{izt}."""
     order = _check_order(order)
-    z, t = (float(_real(v, "bauer_partial_sum: z and t")) for v in (z, t))
+    z, t = _real_scalar(z, "bauer_partial_sum: z"), _real_scalar(t, "bauer_partial_sum: t")
     if abs(t) > 1.0:
         raise DomainError(f"bauer_partial_sum: |t| = {abs(t)} > 1")
     p = legendre_all(order, t)
@@ -254,7 +254,8 @@ def orthogonality_matrix_j(nmax, params=None):
 
     labels = (f"G[{n}, {m}]" for n, m in zip(iu, ju))
     gram = np.zeros((nmax + 1, nmax + 1))
-    gram[iu, ju] = gram[ju, iu] = _line_integrals(env, 0.0, params, labels, factors=2).real
+    gram[iu, ju] = gram[ju, iu] = _line_integrals(env, 0.0, params, labels, factors=2,
+                                                   even=True).real
     return gram
 
 

@@ -523,8 +523,13 @@ def outcome(engine, *args):
         return type(exc), str(exc), exc.last_values
 
 
-def gram_stack(nmax):
+def gram_stack(nmax, even=False):
+    """The Gram rows j_n j_m with n <= m, only those with n + m even if even
+    (the rows orthogonality_matrix_j integrates)."""
     iu, ju = np.triu_indices(nmax + 1)
+    if even:
+        keep = (iu + ju) % 2 == 0
+        iu, ju = iu[keep], ju[keep]
 
     def env(y):
         table = _jn_table(nmax, y)
@@ -562,6 +567,30 @@ class TestBatchedTails:
                                      (projection_stack(G3, 5), proj_labels, 1)):
             want = outcome(_ref_line_integrals, env, 0.0, params, labels, factors)
             assert outcome(_line_integrals, env, 0.0, params, labels, factors) == want
+
+    @pytest.mark.parametrize("params", [LineIntegralParams(max_segments=cap)
+                                        for cap in (12, 13, 18, 30, 400)]
+                             + [LineIntegralParams(tol=tol) for tol in (1e-12, 1e-6)],
+                             ids=lambda params: f"tol={params.tol}-cap={params.max_segments}")
+    def test_even_rows_match_two_sided_reference(self, params):
+        # even=True evaluates only the right tails, and takes each left term
+        # from its mirror's products, reversed: the same bits as both tails,
+        # errors included (nmax >= 9 fails by 400 segments)
+        for nmax in range(17):
+            iu, ju = np.triu_indices(nmax + 1)
+            labels = [f"G[{n}, {m}]" for n, m in zip(iu, ju) if (n + m) % 2 == 0]
+            env = gram_stack(nmax, even=True)
+            want = outcome(_ref_line_integrals, env, 0.0, params, labels, 2)
+            assert outcome(_line_integrals, env, 0.0, params, labels, 2, True) == want
+
+    @pytest.mark.parametrize("t", [0.3, -1e-300, np.array([0.0]), np.array([0.0, -0.0])],
+                             ids=["t=0.3", "t=-1e-300", "one-row-array", "two-row-array"])
+    def test_even_needs_scalar_zero_t(self, t):
+        calls = []
+        env = lambda y: calls.append(y) or gram_stack(2, even=True)(y)
+        with pytest.raises(EvaluationError, match="^even rows need the scalar t = 0$"):
+            _line_integrals(env, t, LineIntegralParams(), factors=2, even=True)
+        assert calls == []
 
     @pytest.mark.parametrize("max_segments", [12, 13, 18, 400])
     @pytest.mark.parametrize("t", EDGE_T)
@@ -671,10 +700,14 @@ class TestBatchedTails:
 
     def test_gram_core_in_one_pair(self, monkeypatch):
         # the Gram matrix integrates at t = 0: core half-width 7 pi, 4 chunks
-        sizes = []
-        checks = self.count_checks(monkeypatch, sizes)
+        # in two mirror pairs; its rows are even, so each check evaluates
+        # its right tail only, and every node past the core is positive
+        nodes = []
+        checks = self.count_checks(monkeypatch, nodes)
         table = bandlim.transform._jn_table
         monkeypatch.setattr(bandlim.transform, "_jn_table",
-                            lambda nmax, y: sizes.append(y.size) or table(nmax, y))
+                            lambda nmax, y: nodes.append(y) or table(nmax, y))
         orthogonality_matrix_j(3)
-        assert sizes[:checks[0]] == [64, 64, 64 * _FIRST_CHECK]
+        assert [y.size for y in nodes[:checks[0]]] == [64, 64, 32 * _FIRST_CHECK]
+        assert len(nodes) == 2 + len(checks)
+        assert all(np.all(y > 7 * math.pi) for y in nodes[2:])

@@ -167,7 +167,10 @@ class TestSphericalJ:
 
 # The per-order j_n code the one-pass table replaced, kept as its reference:
 # the ascending series one order at a time, the Miller normalization with
-# its order-0 branch, and the parity rule one odd order at a time.
+# its order-0 branch, and the parity rule one odd order at a time.  The
+# Miller reference tests for overflow at every step, the table every 8
+# steps; both rescale by the exact 2^-830, so the step at which a rescale
+# lands moves no bit.
 def _ref_jn_series(nmax, z):
     out = np.empty((nmax + 1,) + z.shape, dtype=float)
     zsq = z * z
@@ -197,9 +200,9 @@ def _ref_jn_miller(nmax, z):
         jp, jc = jc, jm
         big = np.abs(jc) > specfun._RESCALE_LIMIT
         if big.any():
-            jp = np.where(big, jp * 1e-250, jp)
-            jc = np.where(big, jc * 1e-250, jc)
-            out[:, big] *= 1e-250
+            jp = np.where(big, jp * 2.0 ** -830, jp)
+            jc = np.where(big, jc * 2.0 ** -830, jc)
+            out[:, big] *= 2.0 ** -830
     j0 = np.sin(z) / z
     j1 = j0 / z - np.cos(z) / z
     use0 = np.abs(out[0]) >= np.abs(out[1]) if nmax >= 1 else np.ones(z.shape, bool)

@@ -841,6 +841,19 @@ class TestRealArguments:
         with pytest.raises(DomainError, match=f"must be real, got {shown}$"):
             call(value)
 
+    @pytest.mark.parametrize("call, what", [
+        (lambda x: bauer_partial_sum(x, 0.3, 5), "bauer_partial_sum: z"),
+        (lambda x: bauer_partial_sum(1.0, x, 5), "bauer_partial_sum: t"),
+        (lambda x: half_integer_bessel_via_poisson(2, x, gauss_legendre_rule(8)),
+         "half_integer_bessel_via_poisson: z"),
+    ], ids=["bauer_partial_sum-z", "bauer_partial_sum-t", "half_integer_bessel_via_poisson"])
+    def test_array_refused_by_scalar_functions(self, call, what):
+        # an array is named with its shape, where a float cast raised a bare
+        # TypeError
+        for x, shape in ((np.array([1.0, 2.0]), r"\(2,\)"), (np.array([[0.5]]), r"\(1, 1\)")):
+            with pytest.raises(DomainError, match=f"^{what} must be a scalar, got shape {shape}$"):
+                call(x)
+
     @pytest.mark.parametrize("value", [["0.3", "0.5"], [0.3, None]], ids=["strings", "None"])
     def test_non_numeric_array_refused(self, value):
         with pytest.raises(DomainError, match="z must be real, got an array of"):
