@@ -217,40 +217,66 @@ def _segment_sums(fn, x):
 
 
 @functools.cache
-def _levin_weights(n):
-    """(-1)^j C(n, j) ((1+j)/(1+n))^(n-1) for j = 0..n, read-only."""
-    j = np.arange(n + 1)
-    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    coef = (-1.0) ** j * binom * ((1.0 + j) / (1.0 + n)) ** (n - 1)
-    coef.flags.writeable = False
-    return coef
+def _levin_coefficients():
+    """Row n + 2: the Levin u weights (-1)^j C(n, j) ((1+j)/(1+n))^(n-1),
+    j = 0..n, zero-padded; the rows of fewer than 4 terms are 0.  Read-only."""
+    width = max(_LEVIN_PREFIXES) - 1
+    table = np.zeros((width + 2, width))
+    for n in range(2, width):
+        j = np.arange(n + 1)
+        binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+        table[n + 2, :n + 1] = (-1.0) ** j * binom * ((1.0 + j) / (1.0 + n)) ** (n - 1)
+    table.flags.writeable = False
+    return table
 
 
-def _levin_limit(seq, k0):
-    """Levin u estimates of the limits of partial-sum sequences.
-
-    Works along the last axis of seq, one sequence per row; k0 is the index
-    of the first term relative to the true start of the tail (the remainder
-    after k segments scales like 1/(k0 + k), and the remainder estimates
-    must use that offset or the extrapolation model is wrong).  A row whose
-    estimate breaks down (a zero or non-finite denominator or value) gets
-    its last partial sum instead.
+def _levin_limit(table, cols, lengths, k0):
+    """Levin u estimates of the limits of the sequences table[cols[i], r,
+    :lengths[i]], shape (pairs, rows), for every row r of the (columns,
+    rows, L) table.  k0 is the index of the first term relative to the true
+    start of the tail (the remainder after k segments scales like
+    1/(k0 + k), and the remainder estimates must use that offset or the
+    extrapolation model is wrong).  A sequence whose estimate breaks down
+    (fewer than 4 terms, a zero or non-finite denominator or value) gets its
+    last partial sum instead.  Each pair sums only its own prefix (where=),
+    which numpy adds as a .sum() of that prefix alone: the same bits.
     """
-    seq = np.asarray(seq, dtype=complex)
-    n = seq.shape[-1] - 2
-    if n < 2:
-        return seq[..., -1]
-    idx = np.arange(1, seq.shape[-1])
+    width = lengths.max() - 1
+    seq = table[cols, :, :width + 1]
     S = seq[..., 1:]
     terms = S - seq[..., :-1]
-    w = (1.0 + k0 + idx) * terms
+    w = (1.0 + k0 + np.arange(1, width + 1)) * terms
     w = np.where(np.abs(w) < 1e-280, 1e-280, w)
-    coef = _levin_weights(n)
+    coef = _levin_coefficients()[lengths, None, :width]
+    prefix = np.arange(width) < lengths[:, None, None] - 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        den = (coef / w).sum(axis=-1)
-        val = (coef * S / w).sum(axis=-1) / den
+        den = (coef / w).sum(axis=-1, where=prefix)  # 0 for fewer than 4 terms
+        val = (coef * S / w).sum(axis=-1, where=prefix) / den
     ok = (den != 0) & np.isfinite(den) & np.isfinite(val)
-    return np.where(ok, val, seq[..., -1])
+    return np.where(ok, val, seq[np.arange(cols.size), :, lengths - 1])
+
+
+@functools.lru_cache(maxsize=256)
+def _levin_plan(length, ncol, known):
+    """The Levin candidates that _accelerate scores on `length` partial sums
+    and ncol columns, given the tuple `known` of final candidate rows.  Row
+    2 + 4c + q is column c's estimate on its prefix min(_LEVIN_PREFIXES[q],
+    column length), final once the column is that long.  Returns the
+    (column, length) pairs to score, as two arrays; the rows they fill, and
+    the pairs of each row's value and of its one-shorter twin (the spread);
+    and the rows final after the call."""
+    pairs, rows, value, twin, final = {}, [], [], [], []
+    for c in range(ncol):
+        for q, prefix in enumerate(_LEVIN_PREFIXES):
+            row, p = 2 + 4 * c + q, min(prefix, length - c)
+            if p == prefix:
+                final.append(row)
+            if row not in known:
+                rows.append(row)
+                value.append(pairs.setdefault((c, p), len(pairs)))
+                twin.append(pairs.setdefault((c, p - 1), len(pairs)))
+    cols, lengths = np.array(list(pairs), dtype=int).reshape(-1, 2).T
+    return cols, lengths, np.array(rows, dtype=int), np.array(value), np.array(twin), tuple(final)
 
 
 def _accelerate(partials, ratio, k0, known=None):
@@ -259,50 +285,50 @@ def _accelerate(partials, ratio, k0, known=None):
     Alternates known-ratio deflation (removes the oscillatory mode with the
     per-segment ratio: a scalar, or a (k, 1) column with one per row; it
     stops when every ratio is 1) with Levin extrapolation of each deflation
-    column.  The candidates are, in order: the last partial sum, then for
-    each column its last partial sum and its Levin estimates on the
-    prefixes _LEVIN_PREFIXES; each row keeps the first candidate with the
-    smallest internal spread.  Every Levin estimate of one length, over the
-    columns that lack it and all rows, is one _levin_limit call.  Returns
+    column, in one zero-padded (columns, k, L) table.  The candidates are,
+    in order: the last partial sum, then for each column its last partial
+    sum and its Levin estimates on the prefixes min(P, column length) for P
+    in _LEVIN_PREFIXES, a repeated prefix next to its first copy; each row
+    keeps the first candidate with the smallest internal spread.  One
+    _levin_limit call scores every Levin estimate the call needs.  Returns
     (estimates, spreads) of shape (k,); a spread is a rough uncertainty.
 
-    known maps (column c, prefix p) to the (values, spreads) of a Levin
-    candidate on these rows, which reads only the first p + c partial sums;
-    only the candidates it lacks are scored, and then added to it.
+    known, a dict, carries the final Levin candidates (see _levin_plan)
+    from call to call on growing prefixes of the same rows: "rows", and the
+    last call's candidate "values" and "spreads", of shape (candidates, k).
+    The call scores only the candidates it lacks, and leaves its own.
     """
     known = {} if known is None else known
     s = np.asarray(partials, dtype=complex)
-    k = s.shape[0]
-    candidates = [(s[:, -1],  # (values, spreads) pairs, in candidate order
-                   np.abs(s[:, -1] - s[:, -2]) if s.shape[1] > 1 else np.full(k, math.inf))]
-    columns = []
+    k, L = s.shape
     gap = 1.0 - ratio
-    all_one = np.all(np.abs(gap) < 1e-8)  # every ratio 1: no deflation
-    while s.shape[1] >= 3:
-        columns.append(s)
-        if all_one or len(columns) > _MAX_DEFLATIONS:
-            break
-        s = (s[:, 1:] - ratio * s[:, :-1]) / gap
+    ncol = 0 if L < 3 else 1 if np.all(np.abs(gap) < 1e-8) else min(L - 2, _MAX_DEFLATIONS + 1)
+    if ncol > 1:
+        table = np.zeros((ncol, k, L), dtype=complex)
+        table[0] = s
+        for c in range(1, ncol):
+            prev = table[c - 1, :, :L - c + 1]
+            table[c, :, :L - c] = (prev[:, 1:] - ratio * prev[:, :-1]) / gap
+    else:  # at most one column: the partial sums themselves
+        table = s[None]
+    cols, lengths, fill, value, twin, final = _levin_plan(L, ncol, known.get("rows", ()))
 
-    prefixes = [sorted({min(p, col.shape[1]) for p in _LEVIN_PREFIXES})
-                for col in columns]
-    users = {}  # sequence length -> the columns that need its Levin estimate
-    for c, ps in enumerate(prefixes):
-        for n in {m for p in ps if (c, p) not in known for m in (p, p - 1)}:
-            users.setdefault(n, []).append(c)
-    levin = {}
-    for n, cs in users.items():
-        est = _levin_limit(np.concatenate([columns[c][:, :n] for c in cs]), k0)
-        levin.update(zip([(c, n) for c in cs], est.reshape(len(cs), k)))
-
-    for c, col in enumerate(columns):
-        candidates.append((col[:, -1], np.abs(col[:, -1] - col[:, -2])))
-        for p in prefixes[c]:
-            if (c, p) not in known:
-                known[c, p] = levin[c, p], np.abs(levin[c, p] - levin[c, p - 1])
-            candidates.append(known[c, p])
-    values, spreads = map(np.array, zip(*candidates))
+    values = np.empty((1 + 4 * ncol, k), dtype=complex)
+    spreads = np.empty((1 + 4 * ncol, k))
+    if known.get("rows"):
+        values[:len(known["values"])] = known["values"]
+        spreads[:len(known["spreads"])] = known["spreads"]
+    values[0] = s[:, -1]
+    spreads[0] = np.abs(s[:, -1] - s[:, -2]) if L > 1 else math.inf
+    c = np.arange(ncol)
+    values[1::4] = table[c, :, L - 1 - c]
+    spreads[1::4] = np.abs(values[1::4] - table[c, :, L - 2 - c])
+    if fill.size:
+        est = _levin_limit(table, cols, lengths, k0)
+        values[fill] = est[value]
+        spreads[fill] = np.abs(est[value] - est[twin])
     spreads[np.isnan(spreads)] = math.inf
+    known.update(rows=final, values=values, spreads=spreads)
     best = np.argmin(spreads, axis=0)  # the first minimum: earlier candidates win ties
     rows = np.arange(k)
     return values[best, rows], spreads[best, rows]
@@ -329,7 +355,8 @@ def _line_rows(envelope, t, params, labels=None, factors=1, even=False):
     open row from labels, an iterable of row names read only then, once
     max_segments is exhausted, with its last two values.  A row's Levin
     candidates are scored once per integral: a check scores only its new
-    ones, and takes its deflation columns' last partial sums.  factors is
+    ones, all in one _levin_limit call, and a row that converges leaves the
+    arrays of final candidates with the keep mask.  factors is
     the number of band-limited factors of every envelope row (2 for a
     product j_n j_m): the right tails share the per-segment ratio
     (-1)^factors e^{-i pi t_i}, the left tails its conjugate.  even says
@@ -389,7 +416,7 @@ def _line_rows(envelope, t, params, labels=None, factors=1, even=False):
     sums = np.empty((0, 2 * k), dtype=complex)  # per segment: right tails, then left
     nseg = 0
     pending = np.arange(k)  # rows not yet converged
-    known = {}  # the pending tail rows' Levin candidates, for _accelerate
+    known = {}  # the pending tail rows' final Levin candidates, for _accelerate
     history = []  # the pending rows' values at the last one or two checks
     batch = _FIRST_CHECK
     while nseg < params.max_segments:
@@ -425,7 +452,7 @@ def _line_rows(envelope, t, params, labels=None, factors=1, even=False):
             history = [history[-1][~done]]
             if done.any():
                 keep = np.concatenate([~done, ~done])
-                known = {key: (v[keep], u[keep]) for key, (v, u) in known.items()}
+                known.update(values=known["values"][:, keep], spreads=known["spreads"][:, keep])
         history.append(est)
     names = None if labels is None else list(labels)
     named = "" if names is None else " for " + ", ".join(names[i] for i in pending)

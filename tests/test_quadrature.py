@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bandlim.quadrature
 from bandlim import (ConvergenceError, DomainError, EvaluationError,
@@ -12,8 +15,9 @@ from bandlim import (ConvergenceError, DomainError, EvaluationError,
                      integrate_compact, integrate_oscillatory_line)
 from bandlim.cli import main
 from bandlim.quadrature import (_CHECK_EVERY, _CORE_CHUNK_PERIODS, _EDGE_SCALE,
-                                _FIRST_CHECK, _MIN_EDGE_DIST, _MIN_HALFWIDTH,
-                                _SEGMENT, _UNC_FACTOR, _accelerate,
+                                _FIRST_CHECK, _LEVIN_PREFIXES, _MAX_DEFLATIONS,
+                                _MIN_EDGE_DIST, _MIN_HALFWIDTH, _SEGMENT,
+                                _UNC_FACTOR, _accelerate,
                                 _eval_integrand, _line_integrals, _seg_rule)
 from bandlim.specfun import _jn_table
 from bandlim.transform import BesselSeries, orthogonality_matrix_j, roundtrip
@@ -336,6 +340,45 @@ def _tail_rows(rng, ratio, k0, length):
     return np.array(rows, dtype=complex)
 
 
+
+def _checks(t):
+    """The tail rows of one line integral's checks at 12, 18, ... 42
+    segments, right tails (ratio -e^{-i pi t}) over their left twins: yields
+    (partials, ratios, k0, keep) per check, keep the mask of the rows the
+    next check keeps (row pair 2 freezes at 24 segments), or None."""
+    rng = np.random.default_rng(200)
+    k0 = float(rng.uniform(2.0, 40.0))
+    pair = (-np.exp(-1j * math.pi * t), -np.exp(1j * math.pi * t))
+    blocks = [_tail_rows(rng, ratio, k0, 42) for ratio in pair]
+    partials = np.concatenate(blocks)
+    ratios = np.repeat(pair, len(blocks[0]))[:, None]
+    pending = np.arange(len(blocks[0]))
+    for length in range(_FIRST_CHECK, 43, _CHECK_EVERY):
+        rows = np.concatenate([pending, pending + len(blocks[0])])
+        keep = None
+        if length == 24:
+            done = pending == 2
+            keep, pending = np.concatenate([~done, ~done]), pending[~done]
+        yield partials[rows, :length], ratios[rows], k0, keep
+
+
+def _drop_rows(known, keep):
+    """Keeps the rows keep of _accelerate's candidate cache, as _line_rows does."""
+    known.update(values=known["values"][:, keep], spreads=known["spreads"][:, keep])
+
+
+def _cached_and_fresh(t, accelerate=_accelerate, drop=_drop_rows):
+    """Per check of _checks(t): the candidate cache after the check, and the
+    estimates and spreads of accelerate() with that cache and with none."""
+    known = {}
+    for partials, ratios, k0, keep in _checks(t):
+        with np.errstate(all="ignore"):
+            got = accelerate(partials, ratios, k0, known)
+            want = accelerate(partials, ratios, k0)
+        yield known, got, want
+        if keep is not None:
+            drop(known, keep)
+
 class TestAcceleratorOracle:
     """Every row of one stacked _accelerate call matches the scalar
     reference on that row."""
@@ -384,31 +427,158 @@ class TestAcceleratorOracle:
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 0.95, 1.0])
     def test_known_candidates_match_fresh_calls(self, t):
-        # the checks of one line integral share a dict of Levin candidates:
-        # on growing prefixes of the same tail rows, and after a row pair is
-        # dropped as the line engine drops a frozen row, every estimate and
-        # spread equals that of a call that scores every candidate afresh
-        rng = np.random.default_rng(200)
-        k0 = float(rng.uniform(2.0, 40.0))
-        pair = (-np.exp(-1j * math.pi * t), -np.exp(1j * math.pi * t))
-        blocks = [_tail_rows(rng, ratio, k0, 42) for ratio in pair]
-        partials = np.concatenate(blocks)
-        ratios = np.repeat(pair, len(blocks[0]))[:, None]
-        pending = np.arange(len(blocks[0]))
-        known = {}
-        for length in range(_FIRST_CHECK, 43, _CHECK_EVERY):
-            rows = np.concatenate([pending, pending + len(blocks[0])])
-            with np.errstate(all="ignore"):
-                got = _accelerate(partials[rows, :length], ratios[rows], k0, known)
-                want = _accelerate(partials[rows, :length], ratios[rows], k0)
+        # the checks of one line integral share the arrays of final Levin
+        # candidates: on growing prefixes of the same tail rows, and after a
+        # row pair is dropped as the line engine drops a frozen row, every
+        # estimate and spread equals that of a call that scores every
+        # candidate afresh
+        for known, got, want in _cached_and_fresh(t):
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-            if length == 24:
-                done = pending == 2
-                keep = np.concatenate([~done, ~done])
-                known = {key: (v[keep], u[keep]) for key, (v, u) in known.items()}
-                pending = pending[~done]
-        assert known
+        # at 42 segments every Levin candidate of every column is final:
+        # all rows but the first and each column's last partial sum
+        levin_rows = range(2, len(known["values"]))
+        assert known["rows"] == tuple(row for row in levin_rows if row % 4 != 1)
 
+
+
+# The stacked accelerator before its Levin candidates shared one kernel call,
+# kept as the bitwise reference of the batched one: one _levin_limit call
+# per distinct prefix length, and a dict of (values, spreads) per (column,
+# prefix) as the candidate cache.
+@functools.cache
+def _stacked_levin_weights(n):
+    j = np.arange(n + 1)
+    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    return (-1.0) ** j * binom * ((1.0 + j) / (1.0 + n)) ** (n - 1)
+
+
+def _stacked_levin_limit(seq, k0):
+    seq = np.asarray(seq, dtype=complex)
+    n = seq.shape[-1] - 2
+    if n < 2:
+        return seq[..., -1]
+    idx = np.arange(1, seq.shape[-1])
+    S = seq[..., 1:]
+    terms = S - seq[..., :-1]
+    w = (1.0 + k0 + idx) * terms
+    w = np.where(np.abs(w) < 1e-280, 1e-280, w)
+    coef = _stacked_levin_weights(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        den = (coef / w).sum(axis=-1)
+        val = (coef * S / w).sum(axis=-1) / den
+    ok = (den != 0) & np.isfinite(den) & np.isfinite(val)
+    return np.where(ok, val, seq[..., -1])
+
+
+def _stacked_accelerate(partials, ratio, k0, known=None):
+    known = {} if known is None else known
+    s = np.asarray(partials, dtype=complex)
+    k = s.shape[0]
+    candidates = [(s[:, -1],
+                   np.abs(s[:, -1] - s[:, -2]) if s.shape[1] > 1 else np.full(k, math.inf))]
+    columns = []
+    gap = 1.0 - ratio
+    all_one = np.all(np.abs(gap) < 1e-8)
+    while s.shape[1] >= 3:
+        columns.append(s)
+        if all_one or len(columns) > _MAX_DEFLATIONS:
+            break
+        s = (s[:, 1:] - ratio * s[:, :-1]) / gap
+    prefixes = [sorted({min(p, col.shape[1]) for p in _LEVIN_PREFIXES}) for col in columns]
+    users = {}
+    for c, ps in enumerate(prefixes):
+        for n in {m for p in ps if (c, p) not in known for m in (p, p - 1)}:
+            users.setdefault(n, []).append(c)
+    levin = {}
+    for n, cs in users.items():
+        est = _stacked_levin_limit(np.concatenate([columns[c][:, :n] for c in cs]), k0)
+        levin.update(zip([(c, n) for c in cs], est.reshape(len(cs), k)))
+    for c, col in enumerate(columns):
+        candidates.append((col[:, -1], np.abs(col[:, -1] - col[:, -2])))
+        for p in prefixes[c]:
+            if (c, p) not in known:
+                known[c, p] = levin[c, p], np.abs(levin[c, p] - levin[c, p - 1])
+            candidates.append(known[c, p])
+    values, spreads = map(np.array, zip(*candidates))
+    spreads[np.isnan(spreads)] = math.inf
+    best = np.argmin(spreads, axis=0)
+    rows = np.arange(k)
+    return values[best, rows], spreads[best, rows]
+
+
+def _stacked_drop_rows(known, keep):
+    known.update({key: (v[keep], u[keep]) for key, (v, u) in known.items()})
+
+
+def _bits(pair):
+    return [np.asarray(a).tobytes() for a in pair]
+
+
+class TestLevinKernel:
+    """_accelerate scores all of a check's new Levin candidates in one
+    _levin_limit call, with the bits of the stacked accelerator's one call
+    per prefix length."""
+
+    @pytest.mark.parametrize("length", range(2, 41))
+    def test_tail_rows_same_bits(self, length):
+        rng = np.random.default_rng(length)
+        for ratio in TestAcceleratorOracle.RATIOS:
+            k0 = float(rng.uniform(2.0, 40.0))
+            rows = _tail_rows(rng, ratio, k0, length)
+            with np.errstate(all="ignore"):
+                assert _bits(_accelerate(rows, ratio, k0)) == \
+                    _bits(_stacked_accelerate(rows, ratio, k0))
+        for t in (0.0, 0.3, 0.7, 0.95, 1.0):  # right tails over their left twins
+            k0 = float(rng.uniform(2.0, 40.0))
+            pair = (-np.exp(-1j * math.pi * t), -np.exp(1j * math.pi * t))
+            rows = np.concatenate([_tail_rows(rng, ratio, k0, length) for ratio in pair])
+            ratios = np.repeat(pair, len(rows) // 2)[:, None]
+            with np.errstate(all="ignore"):
+                assert _bits(_accelerate(rows, ratios, k0)) == \
+                    _bits(_stacked_accelerate(rows, ratios, k0))
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.95, 1.0])
+    def test_cached_same_bits(self, t):
+        # fresh, and with either cache over the checks at 12 .. 42 segments,
+        # across the drop of a row pair
+        stacked = _cached_and_fresh(t, _stacked_accelerate, _stacked_drop_rows)
+        for (_, got, fresh), (_, want, _) in zip(_cached_and_fresh(t), stacked, strict=True):
+            assert _bits(got) == _bits(fresh) == _bits(want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(2, 40), st.sampled_from([0.0, 0.25, 0.5, 0.9, 0.999, 1.0]),
+           st.sampled_from([1, 2]), st.floats(2.0, 300.0), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_bessel_like_tails_same_bits(self, length, t, factors, k0, k, seed):
+        # partial sums of the tails of j_n-like envelopes: two modes sharing
+        # the ratio (-1)^factors e^{-+i pi t}, over powers of 1/(k0 + j)
+        rng = np.random.default_rng(seed)
+        ratio = (-1) ** factors * np.exp(-1j * math.pi * t * np.repeat([1, -1], k))[:, None]
+        j = np.arange(length)
+        coef = rng.normal(size=(4, 2 * k, 1)) + 1j * rng.normal(size=(4, 2 * k, 1))
+        terms = ((coef[0] + coef[1] / (k0 + j)) * ratio ** j / (k0 + j) ** factors
+                 + coef[2] / (k0 + j) ** 2 + 1e-12 * coef[3] * rng.normal(size=length))
+        partials = np.cumsum(terms, axis=1)
+        known, stacked = {}, {}
+        for end in sorted({length, min(length, 12), min(length, 18)}):
+            with np.errstate(all="ignore"):
+                got = _accelerate(partials[:, :end], ratio, k0, known)
+                want = _stacked_accelerate(partials[:, :end], ratio, k0, stacked)
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("width", range(1, 41))
+    def test_masked_sum_is_the_prefix_sum(self, width):
+        # _levin_limit sums each pair's prefix with where=; numpy must add
+        # those terms in the order of a .sum() of the prefix alone
+        rng = np.random.default_rng(width)
+        shape = (width, 7, width)  # block i: prefix i + 1
+        terms = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            * 10.0 ** rng.integers(-8, 9, size=shape)
+        terms[:, 0, ::3], terms[:, 1, ::3] = -0.0, 0.0  # zeros of either sign among them
+        prefix = np.arange(width) < np.arange(1, width + 1)[:, None, None]
+        got = terms.sum(axis=-1, where=prefix)
+        for i in range(width):
+            assert got[i].tobytes() == terms[i, :, :i + 1].sum(axis=-1).tobytes()
 
 def _gaussian(y):
     return np.exp(-np.asarray(y, dtype=float) ** 2)
@@ -673,30 +843,49 @@ class TestBatchedTails:
         # orthogonality_matrix_j(8) integrates its 25 rows with n + m even
         # at t = 0 under the product ratio 1: no deflation, so the partial
         # sums are the one column, and it converges in four checks, at 12,
-        # 18, 24 and 30 tail segments.  Each Levin candidate on prefix p
-        # costs a call at each of the lengths p and p - 1: the check at 12
-        # scores prefix 12, the one at 18 the prefixes 16 and 18, the one
-        # at 24 prefix 20, and the one at 30, which knows every candidate,
-        # none
-        levin_calls = []  # per check
+        # 18, 24 and 30 tail segments.  The candidate on prefix p reads the
+        # sequences of lengths p and p - 1, and is final once the column is
+        # p long; each check scores all its new candidates in one
+        # _levin_limit call: prefix 12 at 12 segments, 16 and 18 at 18
+        # (18 is not final), 20 at 24, and none at 30, which knows them all
+        levin_lengths = []  # per check, the lengths of each _levin_limit call
         shapes = []
         accelerate = bandlim.quadrature._accelerate
         levin = bandlim.quadrature._levin_limit
 
-        def counted(*args):
-            levin_calls[-1] += 1
-            return levin(*args)
+        def counted(table, cols, lengths, k0):
+            levin_lengths[-1].append(sorted(lengths.tolist()))
+            return levin(table, cols, lengths, k0)
 
         def checked(partials, ratio, *args):
             assert np.all(ratio == 1.0)
-            levin_calls.append(0)
+            levin_lengths.append([])
             shapes.append(partials.shape)
             return accelerate(partials, ratio, *args)
         monkeypatch.setattr(bandlim.quadrature, "_accelerate", checked)
         monkeypatch.setattr(bandlim.quadrature, "_levin_limit", counted)
         orthogonality_matrix_j(8)
-        assert levin_calls == [2, 4, 2, 0]
+        assert levin_lengths == [[[11, 12]], [[15, 16, 17, 18]], [[19, 20]], []]
         assert shapes == [(50, n) for n in (12, 18, 24, 30)]
+
+    def test_one_levin_call_per_check(self, monkeypatch):
+        # under a ratio other than 1 the 13 deflation columns keep
+        # candidates that are not final up to 32 tail segments: every check
+        # of j_0 at t = 0.3 and near the edge scores them in one call
+        calls = []  # per check
+        accelerate = bandlim.quadrature._accelerate
+        levin = bandlim.quadrature._levin_limit
+        monkeypatch.setattr(bandlim.quadrature, "_accelerate",
+                            lambda *args: calls.append(0) or accelerate(*args))
+
+        def counted(*args):
+            calls[-1] += 1
+            return levin(*args)
+        monkeypatch.setattr(bandlim.quadrature, "_levin_limit", counted)
+        for t in (0.3, 0.99):
+            calls.clear()
+            integrate_oscillatory_line(j0_env, t)
+            assert len(calls) >= 2 and set(calls) == {1}
 
     def test_gram_core_in_one_pair(self, monkeypatch):
         # the Gram matrix integrates at t = 0: core half-width 7 pi, 4 chunks
