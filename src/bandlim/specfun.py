@@ -4,9 +4,10 @@ Evaluation strategies:
   * P_n by the three-term recurrence
         (n+1) P_{n+1}(t) = (2n+1) t P_n(t) - n P_{n-1}(t),  P_0 = 1, P_1 = t.
   * j_n in three regimes: ascending series near the origin, upward
-    recurrence when |z| is well above the order, and downward (Miller)
-    recurrence with a posteriori normalization otherwise, where upward
-    recurrence loses all accuracy.
+    recurrence when |z| is well above the order (for j_0 alone, everywhere
+    past the series: sin z / z), and downward (Miller) recurrence with a
+    posteriori normalization otherwise, where upward recurrence loses all
+    accuracy.
   * Negative arguments of j_n go through the parity rule
     j_n(-z) = (-1)^n j_n(z).
 
@@ -159,7 +160,8 @@ def _jn_table(nmax, z, what="spherical_j: argument"):
         raise DomainError(f"{what} must be finite")
     flat = z.reshape(-1)
     az = np.abs(flat)
-    up = az >= nmax + 2
+    # j_0 alone is sin z / z, exact past the series; j_1's upward form cancels
+    up = az >= (nmax + 2 if nmax else _SERIES_CUTOFF)
     small = az < _SERIES_CUTOFF
     regimes = ((up, _jn_upward), (small, _jn_series), (~(up | small), _jn_miller))
     for mask, kernel in regimes:

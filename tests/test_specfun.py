@@ -221,7 +221,7 @@ def _ref_jn_table(nmax, z):
     az = np.abs(flat)
     out = np.empty((nmax + 1, flat.size), dtype=float)
     small = az < specfun._SERIES_CUTOFF
-    up = (~small) & (az >= nmax + 2)
+    up = (~small) & (az >= (nmax + 2 if nmax else specfun._SERIES_CUTOFF))
     mid = (~small) & (~up)
     out[:, small] = _ref_jn_series(nmax, az[small])
     out[:, up] = specfun._jn_upward(nmax, az[up])
@@ -249,6 +249,25 @@ class TestJnTableOracle:
             want = _ref_jn_table(nmax, z)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+
+
+class TestJ0PastTheSeries:
+    """At order 0 the points 0.5 <= |z| < 2, which Miller's recurrence
+    served at every other order's boundary nmax + 2, take j_0 = sin z / z."""
+
+    Z = np.linspace(specfun._SERIES_CUTOFF, 2.0, 48, endpoint=False)
+
+    def test_bits_of_sin_over_z(self):
+        want = np.sin(self.Z) / self.Z
+        assert specfun._jn_table(0, self.Z)[0].tobytes() == want.tobytes()
+        assert specfun._jn_table(0, -self.Z)[0].tobytes() == want.tobytes()
+
+    def test_within_one_ulp_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        got = specfun._jn_table(0, self.Z)[0]
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.sin(z) / z) for z in map(mpmath.mpf, self.Z)])
+        assert np.all(np.abs(got - want) <= np.spacing(want))
 
 @st.composite
 def one_regime_points(draw):
