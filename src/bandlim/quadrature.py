@@ -239,8 +239,7 @@ def _levin_limit(table, cols, lengths, k0):
     extrapolation model is wrong).  A sequence whose estimate breaks down
     (fewer than 4 terms, a zero or non-finite denominator or value) gets its
     last partial sum instead.  Each pair sums only its own prefix (where=),
-    which numpy adds as a .sum() of that prefix alone: the same bits.
-    """
+    which numpy adds as a .sum() of that prefix alone: the same bits."""
     width = lengths.max() - 1
     seq = table[cols, :, :width + 1]
     S = seq[..., 1:]
@@ -258,13 +257,13 @@ def _levin_limit(table, cols, lengths, k0):
 
 @functools.lru_cache(maxsize=256)
 def _levin_plan(length, ncol, known):
-    """The Levin candidates that _accelerate scores on `length` partial sums
-    and ncol columns, given the tuple `known` of final candidate rows.  Row
+    """The Levin candidates _accelerate scores on `length` partial sums and
+    ncol columns, given the tuple `known` of final candidate rows.  Row
     2 + 4c + q is column c's estimate on its prefix min(_LEVIN_PREFIXES[q],
     column length), final once the column is that long.  Returns the
-    (column, length) pairs to score, as two arrays; the rows they fill, and
-    the pairs of each row's value and of its one-shorter twin (the spread);
-    and the rows final after the call."""
+    (column, length) pairs to score, as two arrays; the rows they fill, the
+    pairs of each row's value and of its one-shorter twin (the spread); and
+    the rows final after the call."""
     pairs, rows, value, twin, final = {}, [], [], [], []
     for c in range(ncol):
         for q, prefix in enumerate(_LEVIN_PREFIXES):
@@ -275,8 +274,11 @@ def _levin_plan(length, ncol, known):
                 rows.append(row)
                 value.append(pairs.setdefault((c, p), len(pairs)))
                 twin.append(pairs.setdefault((c, p - 1), len(pairs)))
-    cols, lengths = np.array(list(pairs), dtype=int).reshape(-1, 2).T
-    return cols, lengths, np.array(rows, dtype=int), np.array(value), np.array(twin), tuple(final)
+    plan = (*np.array(list(pairs), dtype=int).reshape(-1, 2).T, np.array(rows, dtype=int),
+            np.array(value, dtype=int), np.array(twin, dtype=int))
+    for index in plan:  # shared by every call with these arguments
+        index.flags.writeable = False
+    return *plan, tuple(final)
 
 
 def _accelerate(partials, ratio, k0, known=None):
@@ -293,24 +295,23 @@ def _accelerate(partials, ratio, k0, known=None):
     _levin_limit call scores every Levin estimate the call needs.  Returns
     (estimates, spreads) of shape (k,); a spread is a rough uncertainty.
 
-    known, a dict, carries the final Levin candidates (see _levin_plan)
-    from call to call on growing prefixes of the same rows: "rows", and the
-    last call's candidate "values" and "spreads", of shape (candidates, k).
-    The call scores only the candidates it lacks, and leaves its own.
+    known, a dict, carries the final Levin candidates (see _levin_plan) over
+    calls on growing prefixes of the same rows: their "rows", within the last
+    call's candidate "values" and "spreads" of shape (candidates, k).  A call
+    scores only the candidates it lacks, and leaves its own in known.
     """
     known = {} if known is None else known
     s = np.asarray(partials, dtype=complex)
     k, L = s.shape
     gap = 1.0 - ratio
     ncol = 0 if L < 3 else 1 if np.all(np.abs(gap) < 1e-8) else min(L - 2, _MAX_DEFLATIONS + 1)
+    table = s[None]  # one column or none: the partial sums themselves
     if ncol > 1:
         table = np.zeros((ncol, k, L), dtype=complex)
         table[0] = s
         for c in range(1, ncol):
             prev = table[c - 1, :, :L - c + 1]
             table[c, :, :L - c] = (prev[:, 1:] - ratio * prev[:, :-1]) / gap
-    else:  # at most one column: the partial sums themselves
-        table = s[None]
     cols, lengths, fill, value, twin, final = _levin_plan(L, ncol, known.get("rows", ()))
 
     values = np.empty((1 + 4 * ncol, k), dtype=complex)
