@@ -137,12 +137,11 @@ def _jn_miller(nmax, z):
             trial[n - 1:, big] = np.ldexp(trial[n - 1:, big], -830)
     out = trial[:nmax + 1]
     # normalize with whichever of the j_0, j_1 trials is better conditioned
-    # at each point; at order 0 the j_1 trial is j_0 itself, so j_0 is used
+    # at each point (nmax >= 1: j_0 alone never comes here)
     j0 = np.sin(z) / z
     j1 = j0 / z - np.cos(z) / z
-    trial1 = out[min(nmax, 1)]
-    use0 = np.abs(out[0]) >= np.abs(trial1)
-    ref = np.where(use0, out[0], trial1)
+    use0 = np.abs(out[0]) >= np.abs(out[1])
+    ref = np.where(use0, out[0], out[1])
     tgt = np.where(use0, j0, j1)
     scale = np.where(ref != 0.0, tgt / np.where(ref != 0.0, ref, 1.0), 0.0)
     return out * scale
