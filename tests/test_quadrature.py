@@ -440,7 +440,6 @@ class TestAcceleratorOracle:
         assert known["rows"] == tuple(row for row in levin_rows if row % 4 != 1)
 
 
-
 # The stacked accelerator before its Levin candidates shared one kernel call,
 # kept as the bitwise reference of the batched one: one _levin_limit call
 # per distinct prefix length, and a dict of (values, spreads) per (column,

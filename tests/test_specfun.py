@@ -250,7 +250,6 @@ class TestJnTableOracle:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-
 class TestJ0PastTheSeries:
     """At order 0 the points 0.5 <= |z| < 2, which Miller's recurrence
     served at every other order's boundary nmax + 2, take j_0 = sin z / z."""
@@ -268,6 +267,7 @@ class TestJ0PastTheSeries:
         with mpmath.workdps(40):
             want = np.array([float(mpmath.sin(z) / z) for z in map(mpmath.mpf, self.Z)])
         assert np.all(np.abs(got - want) <= np.spacing(want))
+
 
 @st.composite
 def one_regime_points(draw):
